@@ -80,8 +80,10 @@ class CloudStorage:
             raise TransientStorageError("put", path, owner=self.owner)
         crash_point("storage.pre_put")
         self._advance(time)
-        if path in self._objects:
-            self._objects[path].deleted_at = time
+        previous = self._objects.get(path)
+        if previous is not None and previous.live:
+            # An already-deleted version keeps its own delete time.
+            previous.deleted_at = time
         version = self._versions.get(path, -1) + 1
         self._versions[path] = version
         obj = StoredObject(path=path, size_mb=size_mb, created_at=time, version=version)

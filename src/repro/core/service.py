@@ -575,8 +575,9 @@ class QaaSService:
                 done.index_name, done.partition_id,
             )
             return
+        path = index.spec.path(done.partition_id)
         try:
-            self.storage.put(index.spec.path(done.partition_id), size_mb, at)
+            self.storage.put(path, size_mb, at)
         except TransientStorageError:
             metrics.storage_put_failures += 1
             metrics.degraded_builds += 1
@@ -587,6 +588,11 @@ class QaaSService:
                 done.index_name, done.partition_id,
             )
             return
+        if path in self._orphan_paths:
+            # The put replaced the version a failed delete left behind
+            # and ended its billing; retrying that delete would now
+            # remove the rebuilt partition.
+            self._orphan_paths = [p for p in self._orphan_paths if p != path]
         if self.guard is not None:
             self.guard.record_build_put(True, at)
         yield "build.catalog_mark"

@@ -9,13 +9,28 @@ which is also the fractional bound used to prune branches.
 
 Performance: this solver sits on the service hot path — one knapsack
 per idle slot per skyline point per dataflow arrival — and profiles as
-the single most expensive call of a simulated day. Two layers keep it
+the single most expensive call of a simulated day. Three layers keep it
 fast without changing a single result:
 
 * the branch-and-bound core walks parallel ``sizes``/``gains`` arrays
   (the float accumulation order of the original per-item loop is
   preserved exactly, so bounds, prunes and incumbents are bit-identical
   to the naive reference kept in ``tests/differential/oracle.py``);
+* the search stops as soon as its incumbent is provably optimal. The
+  per-partition builds of one index are identical items, and on
+  identical items the Dantzig bound never closes the integrality gap,
+  so without a proof the search spends its whole ``max_nodes`` budget
+  re-proving the answer of its first dive. Before the search, a small
+  class-level search over runs of identical (size, gain) items finds
+  the ceiling: the largest gain any node can hold, computed with the
+  DFS's own float folds and fit test. A node's gain is that fold over
+  the items it took, and within a run only their number matters. The
+  DFS replaces its incumbent only on a strictly greater gain, so once
+  the incumbent reaches the ceiling no later node can change the
+  answer — capped or not, the result is the one the full search
+  returns. The class search has a budget linear in the item count;
+  past it the ceiling is unknown and the search runs as before, so
+  inputs without repeated items pay almost nothing;
 * whole solves are memoised in a bounded LRU keyed by the exact
   ``(capacity, max_nodes, items)`` inputs. The solution is a pure
   function of that key, so a hit returns the byte-identical result the
@@ -25,7 +40,8 @@ fast without changing a single result:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import math
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -48,12 +64,19 @@ class KnapsackItem:
 
 @dataclass(frozen=True)
 class KnapsackSolution:
-    """Selected item ids, their total gain, and the LP upper bound."""
+    """Selected item ids, their total gain, and the LP upper bound.
+
+    ``capped`` reports that the search used up ``max_nodes`` (nodes
+    past the cap are not expanded, so the incumbent may be suboptimal).
+    It describes the search, not the answer, and takes no part in
+    equality.
+    """
 
     selected: tuple[int, ...]
     total_gain: float
     total_size: float
     lp_bound: float
+    capped: bool = field(default=False, compare=False)
 
 
 def fractional_bound(items: list[KnapsackItem], capacity: float) -> float:
@@ -141,10 +164,13 @@ def solve_knapsack(
     the next item, and subtrees whose fractional bound cannot beat the
     incumbent are pruned. ``max_nodes`` caps the search (the incumbent —
     at least as good as greedy — is returned if the cap is hit, keeping
-    worst-case latency bounded for the scheduler's inner loop).
+    worst-case latency bounded for the scheduler's inner loop, and the
+    solution reports ``capped``). The search ends early once no node
+    can beat the incumbent.
 
     The solution is memoised on the exact inputs; see the module
-    docstring for why a hit is byte-identical to a recompute.
+    docstring for why a hit is byte-identical to a recompute and why
+    the early end returns what the full search would.
     """
     if capacity < 0:
         raise ValueError("capacity must be non-negative")
@@ -270,6 +296,10 @@ def _solve_sorted(
     """Shared branch-and-bound core over density-sorted parallel arrays."""
     lp_bound = _bound_sorted(sizes, gains, capacity)
     n = len(sizes)
+    # On distinct items the class search is the 0/1 knapsack itself; a
+    # budget linear in n keeps its cost there negligible next to the
+    # DFS, and 2n + 2 covers every identical-item proof of a real run.
+    ceiling = _take_fold_ceiling(sizes, gains, capacity + 1e-12, 2 * n + 2)
 
     # No shortcut for the everything-fits case: the reference prune can
     # legitimately return a *subset* there (zero-gain items are skipped
@@ -290,6 +320,10 @@ def _solve_sorted(
         nodes += 1
         if gain > best_gain:
             best_gain, best_path, best_size = gain, path, used
+            if best_gain >= ceiling:
+                # No node left can fold a larger gain, and only a
+                # strictly larger one would replace the incumbent.
+                break
         if depth >= n or nodes > max_nodes:
             continue
         # Dantzig bound over order[depth:] (already density-sorted).
@@ -324,7 +358,92 @@ def _solve_sorted(
         total_gain=max(best_gain, 0.0),
         total_size=best_size,
         lp_bound=lp_bound,
+        capped=nodes > max_nodes,
     )
+
+
+#: Relative slack of the ceiling search's prune bound. Rounding moves a
+#: fold or a Dantzig walk over at most ``_CEILING_MAX_ITEMS`` items by
+#: under 2e-10 of its value (~2^-53 per operation), so the padded bound
+#: stays above every float the DFS can fold.
+_CEILING_SLACK = 1e-9
+_CEILING_MAX_ITEMS = 100_000
+
+
+def _take_fold_ceiling(
+    sizes: list[float], gains: list[float], limit: float, budget: int
+) -> float:
+    """The largest gain any node of the DFS can hold, or ``inf``.
+
+    A node's gain is the left fold ``((0.0 + g_a) + g_b) + ...`` of the
+    items its path took in sorted order, each admitted while the size
+    fold ``used + size`` stays ``<= limit``. Within a run of identical
+    (size, gain) items only *how many* were taken matters, so the
+    maximum over all paths is a search over one count per run: a small
+    branch-and-bound that tries counts largest first, lets the last run
+    take all that fit (folding non-negative floats is monotone), and
+    prunes a count when a slack-padded real Dantzig bound shows it
+    cannot beat the best fold so far. Every node, fold step and bound
+    step is charged to ``budget``; once it is spent the ceiling is
+    unknown and ``inf`` (which never ends the DFS early) is returned.
+    """
+    if len(sizes) > _CEILING_MAX_ITEMS:
+        return math.inf
+    run_sizes: list[float] = []
+    run_gains: list[float] = []
+    run_counts: list[int] = []
+    previous: tuple[float, float] | None = None
+    for item in zip(sizes, gains):
+        if item != previous:
+            if item[0] < 0 or item[1] < 0:
+                return math.inf  # the monotonicity arguments need both >= 0
+            run_sizes.append(item[0])
+            run_gains.append(item[1])
+            run_counts.append(0)
+            previous = item
+        run_counts[-1] += 1
+    last = len(run_sizes) - 1
+    room_pad = limit * _CEILING_SLACK
+    best = 0.0
+    steps = 0
+    # (next run, size fold, gain fold) after a choice of counts.
+    stack: list[tuple[int, float, float]] = [(0, 0.0, 0.0)]
+    while stack:
+        run, used, gain = stack.pop()
+        steps += 1
+        room = limit - used + room_pad
+        value = 0.0
+        for k in range(run, last + 1):
+            steps += 1
+            size, count = run_sizes[k], run_counts[k]
+            if size <= 0:
+                value += run_gains[k] * count
+            elif size * count <= room:
+                value += run_gains[k] * count
+                room -= size * count
+            else:
+                value += run_gains[k] * (room / size)
+                break
+        if (gain + value) * (1.0 + _CEILING_SLACK) <= best:
+            continue
+        if steps > budget:
+            return math.inf
+        size, unit = run_sizes[run], run_gains[run]
+        # Zero-gain items never raise the fold: taking none dominates.
+        count = run_counts[run] if unit > 0 else 0
+        folds = [(used, gain)]
+        while len(folds) <= count and used + size <= limit:
+            used, gain = used + size, gain + unit
+            folds.append((used, gain))
+        steps += len(folds) - 1
+        if run == last:
+            best = max(best, gain)
+        elif size <= 0:
+            # Zero-size items cost no room: taking them all dominates.
+            stack.append((run + 1, used, gain))
+        else:
+            stack.extend((run + 1, u, g) for u, g in folds)
+    return best
 
 
 def solve_knapsack_greedy(items: list[KnapsackItem], capacity: float) -> KnapsackSolution:

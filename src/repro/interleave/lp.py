@@ -21,6 +21,7 @@ import numpy as np
 from repro.dataflow.graph import Dataflow
 from repro.interleave.knapsack import (
     KnapsackItem,
+    KnapsackSolution,
     knapsack_cache_stats,
     solve_knapsack,
     solve_knapsack_arrays,
@@ -98,6 +99,20 @@ def update_runtimes_for_indexes(
     return savings
 
 
+#: Bucket bounds of ``interleave/lp/knapsack_gap``: total_gain /
+#: lp_bound per solve, 1.0 meaning the LP relaxation's gap is closed.
+GAP_BUCKETS: tuple[float, ...] = (0.5, 0.75, 0.9, 0.95, 0.99, 1.0)
+
+
+def _observe_solve(obs: Observation, solution: KnapsackSolution) -> None:
+    """Publish one slot's solve: a cap hit, and its gain / LP-bound ratio."""
+    obs.metrics.counter("interleave/lp/knapsack_capped").inc(float(solution.capped))
+    if solution.lp_bound > 0:
+        obs.metrics.histogram("interleave/lp/knapsack_gap", bounds=GAP_BUCKETS).observe(
+            solution.total_gain / solution.lp_bound
+        )
+
+
 def pack_builds_into_schedule(
     schedule: Schedule,
     candidates: list[BuildCandidate],
@@ -130,6 +145,8 @@ def pack_builds_into_schedule(
             for i, c in enumerate(remaining)
         ]
         solution = solve_knapsack(items, slot.duration, max_nodes=max_nodes)
+        if obs.enabled:
+            _observe_solve(obs, solution)
         if not solution.selected:
             continue
         chosen = [remaining[i] for i in solution.selected]
@@ -190,6 +207,8 @@ def _pack_builds_batch(
         solution = solve_knapsack_arrays(
             sizes[idx], gains[idx], idx, slot.duration, max_nodes=max_nodes
         )
+        if obs.enabled:
+            _observe_solve(obs, solution)
         if not solution.selected:
             continue
         chosen = [candidates[i] for i in solution.selected]

@@ -6,9 +6,11 @@ import pytest
 from repro.cloud.pricing import PAPER_PRICING
 from repro.cloud.storage import CloudStorage
 from repro.core.config import ExperimentConfig
-from repro.core.simulator import ExecutionSimulator
+from repro.core.simulator import CompletedBuild, ExecutionSimulator
 from repro.dataflow.graph import Dataflow
 from repro.dataflow.operator import Operator
+from repro.explore.hooks import drive
+from repro.explore.scenarios import build_scenario
 from repro.faults.injector import (
     FaultInjector,
     FaultKind,
@@ -18,6 +20,7 @@ from repro.faults.injector import (
 from repro.faults.retry import RetriesExhausted, RetryOverride, RetryPolicy
 from repro.interleave.lp import InterleavedSchedule
 from repro.interleave.slots import BuildCandidate
+from repro.recovery.invariants import InvariantMonitor
 from repro.scheduling.schedule import Assignment, Schedule
 
 
@@ -264,6 +267,39 @@ class TestStorageFaults:
         storage.put("idx/a", 10.0, 0.0)
         storage.delete("idx/a", 60.0)
         assert not storage.exists("idx/a")
+
+    def test_rebuild_cancels_the_orphaned_delete(self, monkeypatch):
+        # A delete is lost, the partition is rebuilt at the same path,
+        # then the orphan retry runs: the rebuilt object must survive.
+        run = build_scenario("toy", seed=0).build()
+        service, metrics = run.service, run.state.metrics
+        storage = service.storage
+        name = sorted(service.catalog.indexes)[0]
+        index = service.catalog.indexes[name]
+        path = index.spec.path(0)
+        completed = CompletedBuild(index_name=name, partition_id=0, finished_at=60.0)
+        drive(service._build_action(completed, metrics, None))
+
+        real_delete = storage.delete
+
+        def lost_once(path: str, time: float) -> None:
+            monkeypatch.setattr(storage, "delete", real_delete)
+            raise TransientStorageError("delete", path)
+
+        monkeypatch.setattr(storage, "delete", lost_once)
+        drive(service._delete_action(name, 120.0, metrics, None))
+        assert service._orphan_paths == [path]
+        assert not index.partitions[0].built
+
+        rebuilt = CompletedBuild(index_name=name, partition_id=0, finished_at=180.0)
+        drive(service._build_action(rebuilt, metrics, None))
+        service._retry_orphan_deletes(240.0, metrics)
+
+        assert index.partitions[0].built
+        assert storage.exists(path)
+        assert service._orphan_paths == []
+        monitor = InvariantMonitor(service)
+        assert monitor.check(run.state, storage.accounted_until) == []
 
 
 def _one_op_flow(runtime=30.0):

@@ -1,10 +1,14 @@
 """Tests for the knapsack solver and the packing heuristics (Alg. 3, Fig. 11)."""
 
 import itertools
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.core.config import ExperimentConfig
+from repro.core.service import QaaSService, Strategy
+from repro.dataflow.client import ArrivalEvent, build_workload
 from repro.interleave.greedy import graham_pack, lp_pack, merged_upper_bound
 from repro.interleave.knapsack import (
     KnapsackItem,
@@ -12,6 +16,8 @@ from repro.interleave.knapsack import (
     solve_knapsack,
     solve_knapsack_greedy,
 )
+from repro.interleave.lp import GAP_BUCKETS
+from repro.obs import Observation
 
 
 def brute_force(items, capacity):
@@ -66,6 +72,69 @@ class TestKnapsack:
     def test_fractional_bound_exact_when_all_fit(self):
         items = [KnapsackItem(0, 1.0, 1.0), KnapsackItem(1, 2.0, 2.0)]
         assert fractional_bound(items, 10.0) == pytest.approx(3.0)
+
+
+class TestCapReport:
+    """``capped`` says whether the search used up ``max_nodes``."""
+
+    def test_identical_items_stop_on_the_proof_before_the_cap(self):
+        # One class: the first take-first dive is optimal, and no
+        # amount of search could improve it.
+        items = [KnapsackItem(i, 3.437, 0.091431) for i in range(120)]
+        sol = solve_knapsack(items, 51.878, max_nodes=50)
+        assert sol.selected == tuple(range(15))
+        assert not sol.capped
+
+    def test_capped_search_reports_it(self):
+        # Taking the dense small item first leads the search into a
+        # subtree it cannot leave within the cap; 15 items of the
+        # second class (1.3715) would beat the answer it returns.
+        items = [KnapsackItem(0, 0.572, 0.016571)]
+        items += [KnapsackItem(i, 3.437, 0.091431) for i in range(1, 46)]
+        items += [KnapsackItem(i, 3.437, 0.084397) for i in range(46, 120)]
+        sol = solve_knapsack(items, 51.878, max_nodes=50_000)
+        assert sol.capped
+        assert sol.total_gain == pytest.approx(0.016571 + 14 * 0.091431)
+
+    def test_cap_report_takes_no_part_in_equality(self):
+        items = [KnapsackItem(0, 1.0, 1.0), KnapsackItem(1, 1.0, 2.0)]
+        sol = solve_knapsack(items, 1.0)
+        assert not sol.capped
+        assert sol == replace(sol, capped=True)
+
+
+def test_seeded_lp_run_publishes_cap_hits_and_gap(monkeypatch):
+    """Every LP solve lands in ``interleave/lp/knapsack_capped`` and the
+    ``interleave/lp/knapsack_gap`` histogram (total_gain / lp_bound)."""
+    solves = []
+
+    def small_cap(items, capacity, max_nodes=200_000):
+        # A 50-node cap makes some of this run's solves stop at it.
+        solution = solve_knapsack(items, capacity, max_nodes=50)
+        solves.append(solution)
+        return solution
+
+    monkeypatch.setattr("repro.interleave.lp.solve_knapsack", small_cap)
+    cfg = ExperimentConfig(
+        total_time_s=20 * 60.0,
+        max_skyline=2,
+        scheduler_containers=10,
+        max_candidates=40,
+        max_queued_gain=10,
+        seed=5,
+    )
+    obs = Observation.recording()
+    service = QaaSService(build_workload(cfg.pricing, seed=cfg.seed), cfg, Strategy.GAIN, obs=obs)
+    service.run([ArrivalEvent(time=(i + 1) * 120.0, app="montage") for i in range(4)])
+
+    capped = sum(s.capped for s in solves)
+    assert 0 < capped < len(solves)
+    assert obs.metrics.counter("interleave/lp/knapsack_capped").value == capped
+    ratios = [s.total_gain / s.lp_bound for s in solves if s.lp_bound > 0]
+    gap = obs.metrics.histogram("interleave/lp/knapsack_gap")
+    assert gap.bounds == GAP_BUCKETS
+    assert gap.count == len(ratios) > 0
+    assert gap.sum == pytest.approx(sum(ratios))
 
 
 @given(

@@ -77,6 +77,18 @@ class TestBilling:
         assert storage.bytes_uploaded_mb == pytest.approx(100.0)
         assert storage.bytes_downloaded_mb == pytest.approx(200.0)
 
+    def test_reput_after_delete_keeps_the_recomputed_integral(self, storage):
+        # The deleted version must stay ended at its own delete time; a
+        # re-put that rewrote it would bill the gap between the two.
+        storage.put("t/a", 100.0, time=0.0)
+        storage.delete("t/a", time=60.0)
+        storage.put("t/a", 100.0, time=600.0)
+        storage.storage_cost(until=900.0)
+        assert storage.accounted_mb_seconds == pytest.approx(100.0 * (60.0 + 300.0))
+        assert storage.recompute_mb_seconds() == pytest.approx(
+            storage.accounted_mb_seconds
+        )
+
 
 class TestSnapshot:
     def test_snapshot_reflects_history(self, storage):
