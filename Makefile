@@ -3,7 +3,7 @@
 PY ?= python
 export PYTHONPATH := src
 
-.PHONY: test test-differential bench bench-scale regen-golden lint typecheck
+.PHONY: test test-differential bench regen-golden lint typecheck
 
 test:
 	$(PY) -m pytest -x -q
@@ -13,11 +13,6 @@ test-differential:
 
 bench:
 	$(PY) -m pytest benchmarks -q
-
-# Scale benchmark (reduced size); set REPRO_SCALE_FULL=1 for the full
-# 10k-container / 100k-dataflow leg from docs/PERFORMANCE.md.
-bench-scale:
-	$(PY) -m pytest benchmarks/test_perf_scale.py -q
 
 # Rebuild tests/golden/ from the seeded recipes. A clean tree must be a
 # no-op (tests/test_golden_regen.py enforces it).

@@ -12,7 +12,8 @@ before, in the same process, on the same inputs:
   rescore-from-scratch vs dominance prefilter + incremental objectives;
 * **full simulated day** — the end-to-end service loop: the optimised
   stack vs the service with the oracle scheduler, the oracle knapsack
-  (no memo) and the naive gain path patched back in (required: >= 1.5x).
+  (no memo) and the oracle gain refold patched back in (required:
+  >= 1.5x).
 
 Headline numbers land in ``BENCH_hotpath.json`` via the
 ``figure_metrics`` fixture when ``REPRO_BENCH_METRICS_DIR`` is set.
@@ -21,7 +22,6 @@ Headline numbers land in ``BENCH_hotpath.json`` via the
 from __future__ import annotations
 
 import time
-from dataclasses import replace
 
 from conftest import print_header, print_rows
 
@@ -32,6 +32,7 @@ from repro.core.service import QaaSService, Strategy
 from repro.data.index_model import IndexCostModel
 from repro.dataflow.client import ArrivalEvent, build_workload
 from repro.obs import NOOP_OBS
+from repro.perf import CacheStats
 from repro.tuning.gain import GainModel, GainParameters
 from repro.tuning.history import DataflowHistory, DataflowRecord
 from repro.tuning.incremental import IncrementalGainEvaluator
@@ -136,16 +137,26 @@ class _OracleSchedulerForService(OracleSkylineScheduler):
         self.obs = NOOP_OBS
 
 
-def _e2e_config(incremental_gain: bool) -> ExperimentConfig:
-    return ExperimentConfig(
-        total_time_s=30 * 60.0,
-        max_skyline=2,
-        scheduler_containers=10,
-        max_candidates=40,
-        max_queued_gain=10,
-        seed=5,
-        incremental_gain=incremental_gain,
-    )
+class _OracleGainSums:
+    """The naive per-decision refold with the tuner's evaluator surface."""
+
+    def __init__(self, model: GainModel, history: DataflowHistory) -> None:
+        self.model = model
+        self.history = history
+        self.stats = CacheStats()
+
+    def faded_sums(self, index_name, now, fade_quanta=None):
+        return oracle_faded_sums(self.model, self.history, index_name, now, fade_quanta)
+
+
+E2E_CONFIG = ExperimentConfig(
+    total_time_s=30 * 60.0,
+    max_skyline=2,
+    scheduler_containers=10,
+    max_candidates=40,
+    max_queued_gain=10,
+    seed=5,
+)
 
 
 def _run_service(config: ExperimentConfig) -> tuple[float, ServiceMetrics]:
@@ -158,14 +169,15 @@ def _run_service(config: ExperimentConfig) -> tuple[float, ServiceMetrics]:
 
 
 def _bench_e2e(monkeypatch):
-    optimised_s, optimised_metrics = _run_service(_e2e_config(incremental_gain=True))
+    optimised_s, optimised_metrics = _run_service(E2E_CONFIG)
 
     # Patch the pre-optimisation stack back in: oracle scheduler, oracle
     # knapsack (no memo, per-node suffix rebuilds), naive gain refold.
     with monkeypatch.context() as patch:
         patch.setattr("repro.core.service.SkylineScheduler", _OracleSchedulerForService)
         patch.setattr("repro.interleave.lp.solve_knapsack", oracle_solve_knapsack)
-        naive_s, naive_metrics = _run_service(_e2e_config(incremental_gain=False))
+        patch.setattr("repro.tuning.tuner.IncrementalGainEvaluator", _OracleGainSums)
+        naive_s, naive_metrics = _run_service(E2E_CONFIG)
 
     # The exact scheduler optimisations and the knapsack memo preserve
     # results bit for bit; the incremental gain path is tolerance-equal,

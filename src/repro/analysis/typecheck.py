@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from pathlib import Path
 
 #: Packages held to ``mypy --strict`` (the billing-critical layers,
-#: plus the batch-kernel leaf they call into).
+#: plus the memo leaf they call into).
 STRICT_PACKAGES: tuple[str, ...] = (
     "repro.core",
     "repro.cloud",

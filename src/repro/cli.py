@@ -63,8 +63,6 @@ def _config(args) -> "ExperimentConfig":  # noqa: F821
             overrides["storage_delete_failure_rate"] = value
     if getattr(args, "roi_ledger", False):
         overrides["roi_ledger"] = True
-    if getattr(args, "vectorized", False):
-        overrides["vectorized"] = True
     if getattr(args, "watchdog_rollback", False):
         overrides["watchdog_rollback"] = True
     if getattr(args, "watchdog_window_quanta", None) is not None:
@@ -691,11 +689,6 @@ def build_parser() -> argparse.ArgumentParser:
     run_p.add_argument("--roi-ledger", action="store_true",
                        help="account per-index ROI (build + storage cost vs "
                             "realized benefit) and emit index_roi events")
-    run_p.add_argument("--vectorized", action="store_true",
-                       help="run the simulator step, gain scoring and "
-                            "knapsack construction through the batch numpy "
-                            "kernels (bit-identical / 1e-7-equal results; "
-                            "see docs/PERFORMANCE.md)")
     run_p.add_argument("--watchdog-rollback", action="store_true",
                        help="drop indexes the regression watchdog flags as "
                             "costing more than they return (implies the "

@@ -2,14 +2,14 @@
 
 This subpackage implements the paper's cloud model (Section 3): homogeneous
 containers leased per prepaid time quantum, a persistent storage service
-charged per MB per quantum, per-container LRU disk caches, and elastic
-allocation with idle containers deleted at quantum boundaries.
+charged per MB per quantum, and per-container LRU disk caches. Elastic
+allocation (idle containers deleted at quantum boundaries) lives in
+:mod:`repro.core.pool`.
 """
 
 from repro.cloud.cache import CacheStats, LRUCache
 from repro.cloud.container import Container, ContainerSpec, PAPER_CONTAINER
 from repro.cloud.pricing import PAPER_PRICING, PricingModel
-from repro.cloud.provider import BillingLedger, CloudProvider
 from repro.cloud.storage import CloudStorage, StoredObject
 from repro.cloud.vmtypes import VMType, default_vm_catalog
 
@@ -21,8 +21,6 @@ __all__ = [
     "PAPER_CONTAINER",
     "PAPER_PRICING",
     "PricingModel",
-    "BillingLedger",
-    "CloudProvider",
     "CloudStorage",
     "StoredObject",
     "VMType",

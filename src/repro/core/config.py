@@ -50,19 +50,6 @@ class ExperimentConfig:
     scheduler_containers: int = 20
     max_candidates: int = 120
     history_max_records: int = 300
-    # Maintain the faded gain sums incrementally between decisions
-    # (tolerance-equal to the naive re-fold; see repro.tuning.incremental
-    # and docs/PERFORMANCE.md). False falls back to the naive model.
-    incremental_gain: bool = True
-    # Batch struct-of-arrays kernels (repro.perf.vectorized): the
-    # simulator's dataflow phase, the tuner's gain scoring and the
-    # interleaver's knapsack construction run over contiguous numpy
-    # arrays instead of per-object Python loops. Results are
-    # bit-identical (simulator, knapsacks) or tolerance-equal within
-    # 1e-7 (gain sums; same contract as incremental_gain) — see
-    # tests/differential/ and docs/PERFORMANCE.md. Off by default so
-    # zero-flag runs stay byte-identical to builds without the kernels.
-    vectorized: bool = False
     max_queued_gain: int = 30
     random_builds_per_dataflow: int = 40
     # Batch data updates (Section 3): every interval one table gets a new

@@ -242,7 +242,6 @@ class QaaSService:
             injector=self.injector,
             retry=self.retry_policy,
             obs=self.obs,
-            vectorized=config.vectorized,
         )
         self._next_update = (
             config.update_interval_s if config.update_interval_s > 0 else float("inf")
@@ -264,8 +263,6 @@ class QaaSService:
             scheduler=self.scheduler,
             interleaver=interleaver,
             max_candidates=config.max_candidates,
-            incremental_gain=config.incremental_gain,
-            vectorized=config.vectorized,
             obs=self.obs,
         )
         # ROI accounting and the regression watchdog are opt-in: with

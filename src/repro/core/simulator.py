@@ -26,7 +26,6 @@ from repro.interleave.lp import InterleavedSchedule
 from repro.interleave.slots import parse_build_op_name
 from repro.explore.hooks import note
 from repro.obs import NOOP_OBS, Observation
-from repro.perf.vectorized import group_min_max, lease_bounds, simulate_dataflow_phase
 from repro.recovery.hooks import crash_point
 
 if TYPE_CHECKING:
@@ -125,12 +124,6 @@ class ExecutionSimulator:
         runtime_error: Maximum relative deviation of actual from
             estimated operator runtime (Section 6.2's error model); 0
             executes exactly as scheduled.
-        vectorized: Run the dataflow phase of :meth:`execute` through
-            the batch struct-of-arrays kernels of
-            :mod:`repro.perf.vectorized` (bit-identical results; see
-            tests/differential/test_simulator_oracle.py). Fault-active
-            executions and :meth:`execute_pooled` (inherently
-            sequential cache state) always take the scalar path.
     """
 
     def __init__(
@@ -142,14 +135,12 @@ class ExecutionSimulator:
         injector: FaultInjector | None = None,
         retry: RetryPolicy | None = None,
         obs: Observation | None = None,
-        vectorized: bool = False,
     ) -> None:
         if runtime_error < 0:
             raise ValueError("runtime_error must be non-negative")
         self.pricing = pricing
         self.container = container
         self.runtime_error = runtime_error
-        self.vectorized = vectorized
         self.rng = rng if rng is not None else np.random.default_rng(0)
         self.injector = injector
         self.retry = retry if retry is not None else RetryPolicy()
@@ -224,7 +215,6 @@ class ExecutionSimulator:
         note("sim.slot_fill")
         schedule = interleaved.schedule
         dataflow = schedule.dataflow
-        tq = self.pricing.quantum_seconds
         obs = self.obs
         pid = self._exec_seq
         self._exec_seq += 1
@@ -236,67 +226,9 @@ class ExecutionSimulator:
             schedule.dataflow_assignments(), key=lambda a: (a.start, a.end)
         )
         faults = _OpFaultTally()
-        makespan: float
-        money_quanta: int
-        leases: dict[int, tuple[float, float]]
-        busy: dict[int, list[_Interval]]
-        if self.vectorized and df_assignments and not self._faults_active:
-            makespan, money_quanta, leases, busy = self._vectorized_dataflow_phase(
-                dataflow, df_assignments, interleaved, pid, start_time
-            )
-        else:
-            avail: dict[int, float] = {}
-            op_end: dict[str, float] = {}
-            op_container: dict[str, int] = {}
-            busy = {}
-            for a in df_assignments:
-                ready = 0.0
-                for edge in dataflow.in_edges(a.op_name):
-                    src_end = op_end.get(edge.src)
-                    if src_end is None:
-                        continue
-                    arrival = src_end
-                    if op_container.get(edge.src) != a.container_id:
-                        arrival += edge.data_mb / self.container.net_bw_mb_s
-                    ready = max(ready, arrival)
-                start = max(ready, avail.get(a.container_id, 0.0))
-                duration = a.duration * self._noise()
-                if self._faults_active:
-                    duration, tally = self._operator_elapsed(duration)
-                    faults.merge(tally)
-                end = start + duration
-                avail[a.container_id] = end
-                op_end[a.op_name] = end
-                op_container[a.op_name] = a.container_id
-                busy.setdefault(a.container_id, []).append(_Interval(start, end))
-                if obs.enabled:
-                    obs.tracer.name_thread(
-                        pid, a.container_id, f"container {a.container_id}"
-                    )
-                    obs.tracer.span(
-                        a.op_name,
-                        "operator",
-                        pid,
-                        a.container_id,
-                        start_time + start,
-                        start_time + end,
-                    )
-
-            if busy:
-                makespan = max(iv.end for ivs in busy.values() for iv in ivs)
-            else:
-                makespan = 0.0
-
-            # Leases: floor(first)..ceil(last) per container (relative).
-            leases = {}
-            money_quanta = 0
-            for cid, intervals in busy.items():
-                first = min(iv.start for iv in intervals)
-                last = max(iv.end for iv in intervals)
-                lease_start = floor_tol(first / tq) * tq
-                lease_end = max(lease_start + tq, ceil_tol(last / tq) * tq)
-                leases[cid] = (lease_start, lease_end)
-                money_quanta += int(round((lease_end - lease_start) / tq))
+        makespan, money_quanta, leases, busy = self._dataflow_phase(
+            dataflow, df_assignments, faults, pid, start_time
+        )
 
         # ---- Phase 2: build operators into the actual idle gaps. ------
         builds_by_container: dict[int, list[Assignment]] = {}
@@ -356,94 +288,49 @@ class ExecutionSimulator:
             stragglers=faults.stragglers,
         )
 
-    def _vectorized_dataflow_phase(
+    def _dataflow_phase(
         self,
         dataflow: Dataflow,
         df_assignments: list[Assignment],
-        interleaved: InterleavedSchedule,
+        faults: _OpFaultTally,
         pid: int,
         start_time: float,
     ) -> tuple[float, int, dict[int, tuple[float, float]], dict[int, list[_Interval]]]:
-        """Phase 1 of :meth:`execute` through the struct-of-arrays kernels.
+        """Phase 1 of :meth:`execute`: dataflow operators, then leases.
 
-        Bit-identical to the scalar loop (tests/differential/): the batch
-        noise draw consumes the exact doubles the per-assignment draws
-        would, the predecessor CSR includes precisely the edges the
-        scalar ``op_end`` probe would see (source assigned *and* already
-        processed in sorted order), and the clock arithmetic is the same
-        per-element IEEE max/add. ``busy`` intervals are materialised
-        only for containers that phase 2 will consult (those carrying
-        build assignments).
+        Walks ``df_assignments`` in the given (sorted) order with noisy
+        and, under faults, retried runtimes, accumulating fault counts
+        into ``faults``. Returns ``(makespan, money_quanta, leases,
+        busy)``, all relative to the execution start; the frozen oracle
+        in tests/differential/oracle.py transcribes this walk.
         """
-        n = len(df_assignments)
-        pos: dict[str, int] = {}
-        cids: list[int] = []
-        for i, a in enumerate(df_assignments):
-            pos[a.op_name] = i
-            cids.append(a.container_id)
-        durations = np.fromiter(
-            (a.duration for a in df_assignments), dtype=np.float64, count=n
-        )
-        if not is_zero(self.runtime_error):
-            # One size-n draw consumes the Generator stream bit-for-bit
-            # like n scalar uniform() calls would.
-            durations = durations * self.rng.uniform(
-                1.0 - self.runtime_error, 1.0 + self.runtime_error, size=n
-            )
-        prev_same = np.full(n, -1, dtype=np.int64)
-        last_on: dict[int, int] = {}
-        for i, cid in enumerate(cids):
-            prev = last_on.get(cid)
-            if prev is not None:
-                prev_same[i] = prev
-            last_on[cid] = i
-        net_bw = self.container.net_bw_mb_s
-        ptr = np.zeros(n + 1, dtype=np.int64)
-        srcs: list[int] = []
-        lags: list[float] = []
-        in_edges = dataflow.in_edges_map()
-        for i, a in enumerate(df_assignments):
-            for edge in in_edges.get(a.op_name, []):
-                j = pos.get(edge.src)
-                if j is None or j >= i:
-                    # Source unassigned, or not yet processed when the
-                    # scalar loop reaches i: its op_end probe misses.
-                    continue
-                srcs.append(j)
-                lags.append(0.0 if cids[j] == a.container_id else edge.data_mb / net_bw)
-            ptr[i + 1] = len(srcs)
-        starts, ends = simulate_dataflow_phase(
-            durations,
-            prev_same,
-            ptr,
-            np.asarray(srcs, dtype=np.int64),
-            np.asarray(lags, dtype=np.float64),
-        )
-        makespan = float(ends.max())
-
-        cid_arr = np.asarray(cids, dtype=np.int64)
-        uniq, dense = np.unique(cid_arr, return_inverse=True)
-        first, last = group_min_max(dense, starts, ends, int(uniq.shape[0]))
-        lease_start, lease_end, quanta = lease_bounds(
-            first, last, self.pricing.quantum_seconds
-        )
-        money_quanta = int(quanta.sum())
-        leases = {
-            int(uniq[k]): (float(lease_start[k]), float(lease_end[k]))
-            for k in range(int(uniq.shape[0]))
-        }
-
-        busy: dict[int, list[_Interval]] = {}
-        build_cids = {a.container_id for a in interleaved.build_assignments}
-        if build_cids:
-            for i, a in enumerate(df_assignments):
-                if a.container_id in build_cids:
-                    busy.setdefault(a.container_id, []).append(
-                        _Interval(float(starts[i]), float(ends[i]))
-                    )
+        tq = self.pricing.quantum_seconds
         obs = self.obs
-        if obs.enabled:
-            for i, a in enumerate(df_assignments):
+        avail: dict[int, float] = {}
+        op_end: dict[str, float] = {}
+        op_container: dict[str, int] = {}
+        busy: dict[int, list[_Interval]] = {}
+        for a in df_assignments:
+            ready = 0.0
+            for edge in dataflow.in_edges(a.op_name):
+                src_end = op_end.get(edge.src)
+                if src_end is None:
+                    continue
+                arrival = src_end
+                if op_container.get(edge.src) != a.container_id:
+                    arrival += edge.data_mb / self.container.net_bw_mb_s
+                ready = max(ready, arrival)
+            start = max(ready, avail.get(a.container_id, 0.0))
+            duration = a.duration * self._noise()
+            if self._faults_active:
+                duration, tally = self._operator_elapsed(duration)
+                faults.merge(tally)
+            end = start + duration
+            avail[a.container_id] = end
+            op_end[a.op_name] = end
+            op_container[a.op_name] = a.container_id
+            busy.setdefault(a.container_id, []).append(_Interval(start, end))
+            if obs.enabled:
                 obs.tracer.name_thread(
                     pid, a.container_id, f"container {a.container_id}"
                 )
@@ -452,9 +339,25 @@ class ExecutionSimulator:
                     "operator",
                     pid,
                     a.container_id,
-                    start_time + float(starts[i]),
-                    start_time + float(ends[i]),
+                    start_time + start,
+                    start_time + end,
                 )
+
+        if busy:
+            makespan = max(iv.end for ivs in busy.values() for iv in ivs)
+        else:
+            makespan = 0.0
+
+        # Leases: floor(first)..ceil(last) per container (relative).
+        leases: dict[int, tuple[float, float]] = {}
+        money_quanta = 0
+        for cid, intervals in busy.items():
+            first = min(iv.start for iv in intervals)
+            last = max(iv.end for iv in intervals)
+            lease_start = floor_tol(first / tq) * tq
+            lease_end = max(lease_start + tq, ceil_tol(last / tq) * tq)
+            leases[cid] = (lease_start, lease_end)
+            money_quanta += int(round((lease_end - lease_start) / tq))
         return makespan, money_quanta, leases, busy
 
     # ------------------------------------------------------------------

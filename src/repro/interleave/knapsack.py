@@ -43,10 +43,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
-import numpy as np
-
 from repro.perf import CacheStats, LRUMemo
-from repro.perf.vectorized import density_order
 
 
 @dataclass(frozen=True)
@@ -183,65 +180,6 @@ def solve_knapsack(
     return solution
 
 
-def solve_knapsack_arrays(
-    sizes: np.ndarray,
-    gains: np.ndarray,
-    item_ids: np.ndarray,
-    capacity: float,
-    max_nodes: int = 200_000,
-) -> KnapsackSolution:
-    """:func:`solve_knapsack` over one contiguous candidate matrix.
-
-    The batch entry point of the vectorized packer
-    (``pack_builds_into_schedule(..., vectorized=True)``): instead of
-    materialising one :class:`KnapsackItem` per remaining candidate per
-    slot, the caller keeps parallel ``sizes``/``gains`` arrays alive
-    across slots and passes views of the still-unplaced rows plus their
-    original indices as ``item_ids``.
-
-    The fit filter, density ordering and branch-and-bound walk perform
-    the identical comparisons and float accumulations as the per-item
-    path, so the returned solution is bit-identical to
-    ``solve_knapsack([KnapsackItem(i, s, g) ...], ...)`` up to the id
-    labelling (this path reports the caller's ``item_ids``). Solves are
-    memoised in the same LRU as the per-item path; keys embed the id
-    labels, so the two key spaces can only collide on semantically
-    identical instances.
-    """
-    if capacity < 0:
-        raise ValueError("capacity must be non-negative")
-    sizes = np.asarray(sizes, dtype=np.float64)
-    gains = np.asarray(gains, dtype=np.float64)
-    item_ids = np.asarray(item_ids, dtype=np.int64)
-    key = (
-        capacity,
-        max_nodes,
-        tuple(zip(item_ids.tolist(), sizes.tolist(), gains.tolist())),
-    )
-    cached = _SOLVE_MEMO.get(key)
-    if cached is not None:
-        return cached
-    fit = sizes <= capacity + 1e-12
-    if not fit.any():
-        solution = KnapsackSolution(
-            selected=(), total_gain=0.0, total_size=0.0, lp_bound=0.0
-        )
-    else:
-        f_sizes = sizes[fit]
-        f_gains = gains[fit]
-        f_ids = item_ids[fit]
-        order = density_order(f_sizes, f_gains)
-        solution = _solve_sorted(
-            f_sizes[order].tolist(),
-            f_gains[order].tolist(),
-            f_ids[order].tolist(),
-            capacity,
-            max_nodes,
-        )
-    _SOLVE_MEMO.put(key, solution)
-    return solution
-
-
 def _bound_sorted(sizes: list[float], gains: list[float], capacity: float) -> float:
     """Dantzig bound over already density-sorted parallel arrays.
 
@@ -269,7 +207,7 @@ def _solve_uncached(
     capacity: float,
     max_nodes: int,
 ) -> KnapsackSolution:
-    """The branch-and-bound entry for per-item callers.
+    """Fit filter and density order, then the branch-and-bound core.
 
     Bit-exactness contract: every float accumulation below happens in
     the same order, over the same values, as the reference
@@ -293,7 +231,7 @@ def _solve_sorted(
     capacity: float,
     max_nodes: int,
 ) -> KnapsackSolution:
-    """Shared branch-and-bound core over density-sorted parallel arrays."""
+    """Branch-and-bound core over density-sorted parallel arrays."""
     lp_bound = _bound_sorted(sizes, gains, capacity)
     n = len(sizes)
     # On distinct items the class search is the 0/1 knapsack itself; a

@@ -16,15 +16,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-import numpy as np
-
 from repro.dataflow.graph import Dataflow
 from repro.interleave.knapsack import (
     KnapsackItem,
     KnapsackSolution,
     knapsack_cache_stats,
     solve_knapsack,
-    solve_knapsack_arrays,
 )
 from repro.interleave.slots import BuildCandidate, slots_by_size
 from repro.obs import NOOP_OBS, Observation
@@ -118,20 +115,9 @@ def pack_builds_into_schedule(
     candidates: list[BuildCandidate],
     max_nodes: int = 50_000,
     obs: Observation | None = None,
-    vectorized: bool = False,
 ) -> InterleavedSchedule:
-    """Fill one schedule's idle slots with build operators via knapsacks.
-
-    With ``vectorized=True`` the knapsack instances are batched: the
-    candidate durations and gains live in two contiguous arrays built
-    once, and each slot's solve receives views of the still-unplaced
-    rows instead of freshly allocated per-candidate objects. The
-    resulting assignments are identical (the solver core and the
-    density tie-breaks are shared; see ``solve_knapsack_arrays``).
-    """
+    """Fill one schedule's idle slots with build operators via knapsacks."""
     obs = obs if obs is not None else NOOP_OBS
-    if vectorized:
-        return _pack_builds_batch(schedule, candidates, max_nodes, obs)
     remaining = list(candidates)
     build_assignments: list[Assignment] = []
     scheduled: list[BuildCandidate] = []
@@ -174,68 +160,6 @@ def pack_builds_into_schedule(
     )
 
 
-def _pack_builds_batch(
-    schedule: Schedule,
-    candidates: list[BuildCandidate],
-    max_nodes: int,
-    obs: Observation,
-) -> InterleavedSchedule:
-    """Slot-filling over one contiguous candidate matrix.
-
-    Assignment-identical to the per-item loop: an alive-mask gather
-    yields the unplaced candidates in the same relative order the
-    filtered ``remaining`` list would hold, the solver reports original
-    candidate indices directly (no per-slot renumbering), and the
-    within-slot gain ordering is the same stable sort.
-    """
-    sizes = np.fromiter(
-        (c.duration_s for c in candidates), dtype=np.float64, count=len(candidates)
-    )
-    gains = np.fromiter(
-        (c.gain for c in candidates), dtype=np.float64, count=len(candidates)
-    )
-    alive = np.ones(len(candidates), dtype=bool)
-    n_alive = len(candidates)
-    build_assignments: list[Assignment] = []
-    scheduled: list[BuildCandidate] = []
-    slots_visited = 0
-    for slot in slots_by_size(schedule):
-        if not n_alive:
-            break
-        slots_visited += 1
-        idx = np.flatnonzero(alive)
-        solution = solve_knapsack_arrays(
-            sizes[idx], gains[idx], idx, slot.duration, max_nodes=max_nodes
-        )
-        if obs.enabled:
-            _observe_solve(obs, solution)
-        if not solution.selected:
-            continue
-        chosen = [candidates[i] for i in solution.selected]
-        # Most useful first: if execution cuts the slot short, the least
-        # useful build is the one killed.
-        chosen.sort(key=lambda c: c.gain, reverse=True)
-        cursor = slot.start
-        for cand in chosen:
-            build_assignments.append(
-                Assignment(cand.op_name, slot.container_id, cursor, cursor + cand.duration_s)
-            )
-            cursor += cand.duration_s
-            scheduled.append(cand)
-        alive[list(solution.selected)] = False
-        n_alive -= len(solution.selected)
-    if obs.enabled:
-        obs.metrics.counter("interleave/lp/slots_visited").inc(slots_visited)
-        obs.metrics.counter("interleave/lp/builds_packed").inc(len(scheduled))
-        obs.metrics.counter("interleave/lp/builds_unplaced").inc(n_alive)
-        knapsack_cache_stats().publish(obs.metrics, "cache/knapsack")
-    return InterleavedSchedule(
-        schedule=schedule,
-        build_assignments=build_assignments,
-        scheduled_builds=scheduled,
-    )
-
-
 def lp_interleave(
     dataflow: Dataflow,
     candidates: list[BuildCandidate],
@@ -245,15 +169,13 @@ def lp_interleave(
     index_sizes_mb: dict[str, float] | None = None,
     max_nodes: int = 50_000,
     obs: Observation | None = None,
-    vectorized: bool = False,
 ) -> list[InterleavedSchedule]:
     """Algorithm 2: the full LP interleaving pipeline.
 
     Updates operator runtimes for already-available indexes, computes the
     skyline of dataflow schedules, and packs the candidate build
-    operators into each schedule's idle slots (batched knapsack
-    construction when ``vectorized``). Returns one interleaved schedule
-    per skyline point.
+    operators into each schedule's idle slots. Returns one interleaved
+    schedule per skyline point.
     """
     savings: dict[str, float] = {}
     if available_indexes:
@@ -262,9 +184,7 @@ def lp_interleave(
         )
     skyline = scheduler.schedule(dataflow)
     interleaved = [
-        pack_builds_into_schedule(
-            s, candidates, max_nodes=max_nodes, obs=obs, vectorized=vectorized
-        )
+        pack_builds_into_schedule(s, candidates, max_nodes=max_nodes, obs=obs)
         for s in skyline
     ]
     for sched in interleaved:

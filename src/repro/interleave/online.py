@@ -28,20 +28,13 @@ def online_interleave(
     index_fractions: dict[str, float] | None = None,
     index_sizes_mb: dict[str, float] | None = None,
     obs: Observation | None = None,
-    vectorized: bool = False,
 ) -> list[InterleavedSchedule]:
     """Schedule the dataflow with optional build operators in one pass.
 
     Mutates ``dataflow`` by adding the optional build operators (they are
     part of the submitted job from the scheduler's point of view).
     Returns one interleaved schedule per skyline point.
-
-    ``vectorized`` is accepted for interface parity with
-    :func:`repro.interleave.lp.lp_interleave` and ignored: the online
-    algorithm places builds through the skyline union, it runs no
-    per-slot knapsacks to batch.
     """
-    del vectorized
     obs = obs if obs is not None else NOOP_OBS
     savings: dict[str, float] = {}
     if available_indexes:

@@ -24,16 +24,10 @@ from repro.explore.hooks import note
 from repro.obs import NOOP_OBS, Observation
 from repro.recovery.hooks import crash_point
 from repro.scheduling.skyline import SkylineScheduler
-from repro.tuning.gain import (
-    DataflowGainSample,
-    GainModel,
-    IndexGain,
-    dataflow_index_gains,
-)
+from repro.tuning.gain import GainModel, IndexGain, dataflow_index_gains
 from repro.tuning.history import DataflowHistory, DataflowRecord
 from repro.tuning.incremental import IncrementalGainEvaluator
 from repro.tuning.ranking import deletable_indexes, rank_indexes
-from repro.tuning.vectorized import VectorizedGainEvaluator
 
 if TYPE_CHECKING:
     from repro.tuning.adaptive import AdaptiveFadingController
@@ -96,8 +90,6 @@ class OnlineIndexTuner:
         interleaver: str = "lp",
         max_candidates: int = 150,
         fading_controller: AdaptiveFadingController | None = None,
-        incremental_gain: bool = True,
-        vectorized: bool = False,
         obs: Observation | None = None,
     ) -> None:
         if interleaver not in ("lp", "online"):
@@ -117,19 +109,9 @@ class OnlineIndexTuner:
         # Incremental maintenance of the faded gain sums: the running
         # aggregates are decay-rescaled between decisions instead of
         # re-folding the whole window (tolerance-equal to the naive
-        # model; see repro.tuning.incremental). The naive path stays as
-        # the oracle and as the fallback (incremental_gain=False).
-        self._incremental: IncrementalGainEvaluator | None = (
-            IncrementalGainEvaluator(gain_model, history) if incremental_gain else None
-        )
-        # Batch strategy: columnar history snapshots evaluated through
-        # the numpy kernels (repro.tuning.vectorized). Takes precedence
-        # over the incremental evaluator when both are enabled; the
-        # knapsack construction of the interleaver is batched alongside.
-        self.vectorized = vectorized
-        self._vectorized: VectorizedGainEvaluator | None = (
-            VectorizedGainEvaluator(gain_model, history) if vectorized else None
-        )
+        # model; see repro.tuning.incremental). The naive refold is kept
+        # only as the frozen oracle in tests/differential/oracle.py.
+        self._incremental = IncrementalGainEvaluator(gain_model, history)
         self._read_quanta_cache: dict[str, float] = {}
         # Per-dataflow gtd/gmd are intrinsic to the dataflow (original
         # runtimes); queued dataflows are re-examined at every decision,
@@ -233,34 +215,18 @@ class OnlineIndexTuner:
             fade = None
             if self.fading_controller is not None:
                 fade = self.fading_controller.suggest_fade(name)
-            evaluator = self._vectorized if self._vectorized is not None else self._incremental
-            if evaluator is not None:
-                # Historical inflow from the maintained running sums (or
-                # the batch columnar evaluation); live dataflows
-                # contribute at dc(0) = 1 on top, exactly as the naive
-                # path appends them at age 0.
-                sum_t, sum_m, count = evaluator.faded_sums(name, now, fade)
-                mc = self.gain_model.pricing.quantum_price
-                for time_gains, money_gains in live:
-                    if name in time_gains:
-                        sum_t += time_gains[name]
-                        sum_m += mc * money_gains[name]
-                        count += 1
-                gains[name] = self.gain_model.evaluate_from_sums(
-                    index, sum_t, sum_m, count, fade_quanta=fade
-                )
-                continue
-            samples = self.history.samples_for(name, now)
+            # Historical inflow from the maintained running sums; live
+            # dataflows contribute at dc(0) = 1 on top (age 0).
+            sum_t, sum_m, count = self._incremental.faded_sums(name, now, fade)
+            mc = self.gain_model.pricing.quantum_price
             for time_gains, money_gains in live:
                 if name in time_gains:
-                    samples.append(
-                        DataflowGainSample(
-                            age_quanta=0.0,
-                            time_gain_quanta=time_gains[name],
-                            money_gain_quanta=money_gains[name],
-                        )
-                    )
-            gains[name] = self.gain_model.evaluate(index, samples, fade_quanta=fade)
+                    sum_t += time_gains[name]
+                    sum_m += mc * money_gains[name]
+                    count += 1
+            gains[name] = self.gain_model.evaluate_from_sums(
+                index, sum_t, sum_m, count, fade_quanta=fade
+            )
         return gains
 
     # ------------------------------------------------------------------
@@ -343,7 +309,6 @@ class OnlineIndexTuner:
             index_fractions=fractions,
             index_sizes_mb=sizes_mb,
             obs=self.obs,
-            vectorized=self.vectorized,
         )
         chosen = select_fastest(skyline)
         crash_point("tuner.post_interleave")
@@ -377,10 +342,7 @@ class OnlineIndexTuner:
             m.counter("tuner/builds_scheduled").inc(chosen.num_builds)
             m.counter("tuner/deletions_flagged").inc(len(to_delete))
             self.gain_model.cost_stats.publish(m, "cache/gain_costs")
-            if self._vectorized is not None:
-                self._vectorized.stats.publish(m, "cache/gain_sums")
-            elif self._incremental is not None:
-                self._incremental.stats.publish(m, "cache/gain_sums")
+            self._incremental.stats.publish(m, "cache/gain_sums")
         return TunerDecision(
             chosen=chosen,
             skyline=skyline,

@@ -1,12 +1,12 @@
 # lint-module: repro.perf.fixture_kernels
 # expect:
-"""Known-good fixture: a perf leaf holding only numpy/stdlib kernels.
+"""Known-good fixture: a perf leaf holding only numpy/stdlib helpers.
 
 ``repro.perf`` is in ``ALLOWED_LEAVES`` so every hot-path layer may
-import its kernels; in exchange the leaf itself may depend on nothing
-above it — numpy and the stdlib are its whole world. This is why
-``repro.perf.vectorized`` carries its own ``TIME_EPS`` copy instead of
-importing ``repro.core.numeric`` (a pin test keeps the copies equal).
+import it; in exchange the leaf itself may depend on nothing above it —
+numpy and the stdlib are its whole world. A perf helper that needs an
+epsilon therefore carries its own ``TIME_EPS`` instead of importing
+``repro.core.numeric``.
 """
 
 import math

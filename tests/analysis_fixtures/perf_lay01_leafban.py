@@ -5,9 +5,8 @@
 The leaf-ban pass bypasses the ``ALLOWED_LEAVES`` exemption: even
 ``repro.core.numeric`` and ``repro.obs`` — themselves importable from
 everywhere — are banned inside ``repro.perf``, or the carve-out could
-smuggle a leaf-to-leaf cycle back in. The practical consequence is the
-duplicated ``TIME_EPS`` in ``repro.perf.vectorized``, pinned equal to
-the canonical constant by ``tests/differential/test_simulator_oracle.py``.
+smuggle a leaf-to-leaf cycle back in. The practical consequence: a
+perf helper that needs ``TIME_EPS`` must carry its own copy.
 """
 
 from repro.core.numeric import TIME_EPS

@@ -329,8 +329,8 @@ def oracle_dataflow_phase(
     the noise-adjusted runtimes, one per assignment in that order (noise
     policy is the caller's — drawing it outside keeps the oracle free of
     RNG state). Returns ``(op_starts, op_ends, makespan, money_quanta,
-    leases)``; the vectorized kernels must match every value bit for
-    bit.
+    leases)``; ``ExecutionSimulator._dataflow_phase`` must match every
+    value bit for bit.
     """
     avail: dict[int, float] = {}
     op_start: dict[str, float] = {}

@@ -1,31 +1,26 @@
-"""Differential tests: vectorized simulator phase vs the frozen scalar oracle.
+"""Differential tests: the simulator's dataflow phase vs the frozen oracle.
 
-The batch kernels (:mod:`repro.perf.vectorized`) claim **bit-identity**
-with the scalar simulator walk — not tolerance equality: ``max`` is an
-exact selection, ``end = start + duration`` is the same single IEEE
-add, and the batched noise draw consumes the Generator stream exactly
-like the per-assignment scalar draws. Hypothesis drives random DAGs,
-container placements and noisy runtimes; every float of every result
-must be ``==`` to the frozen oracle's and to the scalar simulator's.
+``ExecutionSimulator.execute`` walks the dataflow operators in
+(start, end) order, stretches each by its noise draw, and leases every
+container from the floor of its first start to the ceiling of its last
+end. ``tests/differential/oracle.py`` keeps a naive transcription of
+that walk. Hypothesis drives random DAGs, container placements and
+noisy runtimes; every float of the result must be ``==`` to the
+oracle's — bit-identity, not tolerance equality.
 """
 
 from __future__ import annotations
 
 import copy
-import pathlib
 
 import numpy as np
-import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.cloud.pricing import PAPER_PRICING
-from repro.core.numeric import TIME_EPS, ceil_tol, floor_tol
-from repro.core.simulator import ExecutionSimulator
+from repro.core.simulator import ExecutionSimulator, _OpFaultTally
 from repro.dataflow.graph import Dataflow
 from repro.dataflow.operator import Operator
 from repro.interleave.lp import InterleavedSchedule
-from repro.perf.vectorized import TIME_EPS as VEC_TIME_EPS
-from repro.perf.vectorized import lease_bounds
 from repro.scheduling.schedule import Assignment, Schedule
 
 from tests.differential.oracle import oracle_dataflow_phase
@@ -95,29 +90,11 @@ def _build_case(case) -> InterleavedSchedule:
 
 @given(case=_cases(), runtime_error=st.sampled_from([0.0, 0.1]))
 @settings(max_examples=120, deadline=None, derandomize=True)
-def test_vectorized_execute_bit_identical_to_scalar(case, runtime_error):
-    """Full ExecutionResult equality — every field, every float, plus the
-    RNG stream position afterwards (phase 2 draws must stay aligned)."""
-    seed = case[-1]
-    interleaved = _build_case(case)
-    scalar = ExecutionSimulator(
-        PAPER_PRICING, runtime_error=runtime_error, rng=np.random.default_rng(seed)
-    )
-    batch = ExecutionSimulator(
-        PAPER_PRICING, runtime_error=runtime_error,
-        rng=np.random.default_rng(seed), vectorized=True,
-    )
-    r1 = scalar.execute(copy.deepcopy(interleaved), 123.0)
-    r2 = batch.execute(copy.deepcopy(interleaved), 123.0)
-    assert r1 == r2
-    assert scalar.rng.uniform() == batch.rng.uniform()
-
-
-@given(case=_cases(), runtime_error=st.sampled_from([0.0, 0.1]))
-@settings(max_examples=120, deadline=None, derandomize=True)
 def test_both_paths_match_frozen_oracle(case, runtime_error):
-    """Makespan, money and leases of both simulators equal the frozen
-    naive transcription fed the identical noise stream."""
+    """Both ways into the dataflow phase — the full ``execute`` and its
+    ``_dataflow_phase`` seam — equal the frozen naive transcription fed
+    the identical noise stream: makespan, money, per-container leases
+    and every operator interval."""
     seed = case[-1]
     interleaved = _build_case(case)
     df_sorted = sorted(
@@ -130,133 +107,42 @@ def test_both_paths_match_frozen_oracle(case, runtime_error):
         if runtime_error > 0.0:
             noise = float(rng.uniform(1.0 - runtime_error, 1.0 + runtime_error))
         durations.append(a.duration * noise)
-    _starts, _ends, makespan, money, leases = oracle_dataflow_phase(
+    starts, ends, makespan, money, leases = oracle_dataflow_phase(
         interleaved.schedule.dataflow, df_sorted, durations, PAPER_PRICING
     )
-    for vectorized in (False, True):
-        sim = ExecutionSimulator(
-            PAPER_PRICING, runtime_error=runtime_error,
-            rng=np.random.default_rng(seed), vectorized=vectorized,
+
+    def simulator() -> ExecutionSimulator:
+        return ExecutionSimulator(
+            PAPER_PRICING, runtime_error=runtime_error, rng=np.random.default_rng(seed)
         )
-        # Strip the builds: the oracle covers the dataflow phase + leases.
-        bare = InterleavedSchedule(schedule=copy.deepcopy(interleaved.schedule))
-        result = sim.execute(bare, 0.0)
-        assert result.makespan_seconds == makespan
-        assert result.money_quanta == money
-    batch = ExecutionSimulator(
-        PAPER_PRICING, runtime_error=runtime_error,
-        rng=np.random.default_rng(seed), vectorized=True,
+
+    # Strip the builds: the oracle covers the dataflow phase + leases.
+    bare = InterleavedSchedule(schedule=copy.deepcopy(interleaved.schedule))
+    result = simulator().execute(bare, 0.0)
+    assert result.makespan_seconds == makespan
+    assert result.money_quanta == money
+
+    mk, mq, sim_leases, busy = simulator()._dataflow_phase(
+        interleaved.schedule.dataflow, df_sorted, _OpFaultTally(), 0, 0.0
     )
-    if df_sorted:
-        mk, mq, batch_leases, _busy = batch._vectorized_dataflow_phase(
-            interleaved.schedule.dataflow, df_sorted, interleaved, 0, 0.0
+    assert mk == makespan
+    assert mq == money
+    assert sim_leases == leases
+    expected: dict[int, list[tuple[float, float]]] = {}
+    for a in df_sorted:
+        expected.setdefault(a.container_id, []).append(
+            (starts[a.op_name], ends[a.op_name])
         )
-        assert mk == makespan
-        assert mq == money
-        assert batch_leases == leases
-
-
-@given(
-    firsts=st.lists(
-        st.floats(min_value=0.0, max_value=5000.0, allow_nan=False),
-        min_size=1, max_size=30,
-    ),
-    extents=st.lists(
-        st.floats(min_value=0.0, max_value=900.0, allow_nan=False),
-        min_size=30, max_size=30,
-    ),
-    quantum=st.sampled_from([60.0, 37.5, 300.0]),
-)
-@settings(max_examples=200, deadline=None, derandomize=True)
-def test_lease_bounds_bit_identical_to_floor_ceil_tol(firsts, extents, quantum):
-    """The batched lease window mirrors floor_tol/ceil_tol exactly —
-    including values a rounding crumb off a quantum boundary."""
-    lasts = [f + e for f, e in zip(firsts, extents)]
-    # Adversarial: exact boundaries and crumb-offset boundaries.
-    firsts = firsts + [2.0 * quantum, 3.0 * quantum - 1e-10]
-    lasts = lasts + [3.0 * quantum, 3.0 * quantum + 1e-10]
-    ls, le, q = lease_bounds(
-        np.asarray(firsts, dtype=np.float64),
-        np.asarray(lasts, dtype=np.float64),
-        quantum,
-    )
-    for k, (first, last) in enumerate(zip(firsts, lasts)):
-        lease_start = floor_tol(first / quantum) * quantum
-        lease_end = max(lease_start + quantum, ceil_tol(last / quantum) * quantum)
-        assert ls[k] == lease_start
-        assert le[k] == lease_end
-        assert int(q[k]) == int(round((lease_end - lease_start) / quantum))
-
-
-def test_time_eps_pinned_to_core_numeric():
-    """LAY01 forces repro.perf to duplicate the epsilon instead of
-    importing repro.core.numeric; this pin keeps the copies in lock-step."""
-    assert VEC_TIME_EPS == TIME_EPS
-
-
-def test_perf_vectorized_is_a_leaf():
-    """The kernel module must import no other repro package (leaf-to-
-    leaf and leaf-to-core imports are LAY01 violations) — which is why
-    it carries its own TIME_EPS copy instead of the canonical one."""
-    import ast
-    import repro.perf.vectorized as mod
-
-    tree = ast.parse(pathlib.Path(mod.__file__).read_text())
-    bad = []
-    for node in ast.walk(tree):
-        if isinstance(node, ast.Import):
-            bad += [a.name for a in node.names if a.name.startswith("repro")]
-        elif isinstance(node, ast.ImportFrom):
-            if node.module and node.module.startswith("repro"):
-                bad.append(node.module)
-    assert not bad, f"repro.perf.vectorized imports repro modules: {bad}"
-
-
-def test_faults_force_the_scalar_path():
-    """A fault-active execution must ignore vectorized=True: the per-
-    attempt retry/crash draws are inherently sequential."""
-    from repro.faults.injector import FaultInjector, FaultProfile
-
-    case = (2, [30.0, 40.0], [0, 0], [0.0, 30.0], [], [], 7)
-    interleaved = _build_case(case)
-    results = []
-    for vectorized in (False, True):
-        injector = FaultInjector(
-            FaultProfile(operator_failure_rate=0.5),
-            rng=np.random.default_rng(11),
-        )
-        sim = ExecutionSimulator(
-            PAPER_PRICING, runtime_error=0.1, rng=np.random.default_rng(5),
-            injector=injector, vectorized=vectorized,
-        )
-        results.append(sim.execute(copy.deepcopy(interleaved), 0.0))
-    assert results[0] == results[1]
-    assert results[0].operator_retries > 0 or results[0].operators_recovered >= 0
+    assert {
+        cid: [(iv.start, iv.end) for iv in intervals] for cid, intervals in busy.items()
+    } == expected
 
 
 def test_empty_schedule_takes_scalar_path():
     df = Dataflow(name="empty")
     schedule = Schedule(dataflow=df, pricing=PAPER_PRICING, assignments=[])
-    sim = ExecutionSimulator(PAPER_PRICING, vectorized=True)
+    sim = ExecutionSimulator(PAPER_PRICING)
     result = sim.execute(InterleavedSchedule(schedule=schedule), 0.0)
     assert result.makespan_seconds == 0.0
     assert result.money_quanta == 0
 
-
-@pytest.mark.parametrize("runtime_error", [0.0, 0.1])
-def test_execute_pooled_never_vectorizes(runtime_error):
-    """execute_pooled carries sequential cache state; the flag is inert."""
-    from repro.core.pool import ContainerPool
-
-    case = (3, [20.0, 30.0, 40.0], [0, 1, 0], [0.0, 0.0, 20.0],
-            [(0, 2, 100.0)], [], 3)
-    interleaved = _build_case(case)
-    results = []
-    for vectorized in (False, True):
-        pool = ContainerPool(PAPER_PRICING, max_containers=10)
-        sim = ExecutionSimulator(
-            PAPER_PRICING, runtime_error=runtime_error,
-            rng=np.random.default_rng(9), vectorized=vectorized,
-        )
-        results.append(sim.execute_pooled(copy.deepcopy(interleaved), 0.0, pool))
-    assert results[0] == results[1]

@@ -11,7 +11,9 @@ from drifting away from what the goldens actually contain.
 from __future__ import annotations
 
 import contextlib
+import hashlib
 import io
+import json
 import tempfile
 from pathlib import Path
 
@@ -41,6 +43,49 @@ def _regen_roi_table() -> str:
     return table.getvalue()
 
 
+# Default-config runs whose bytes a refactor must leave unchanged: the
+# sha256 of stdout and of each obs artifact, once per interleaver.
+DEFAULT_RUN_ARGS = [
+    "run", "--strategy", "gain", "--seed", "7", "--horizon-quanta", "10",
+]
+DEFAULT_RUN_INTERLEAVERS = ("lp", "online")
+DEFAULT_RUN_ARTIFACTS = {
+    "--events-out": "events.jsonl",
+    "--metrics-out": "metrics.json",
+    "--trace-out": "trace.json",
+}
+
+
+def _sha256(data: str) -> str:
+    return hashlib.sha256(data.encode()).hexdigest()
+
+
+def _regen_default_runs() -> str:
+    from repro.cli import main as cli_main
+
+    digests: dict[str, dict[str, str]] = {}
+    for interleaver in DEFAULT_RUN_INTERLEAVERS:
+        with tempfile.TemporaryDirectory() as tmp:
+            out = Path(tmp)
+            artifact_args = []
+            for flag, name in DEFAULT_RUN_ARTIFACTS.items():
+                artifact_args += [flag, str(out / name)]
+            sink = io.StringIO()
+            with contextlib.redirect_stdout(sink):
+                rc = cli_main([
+                    *DEFAULT_RUN_ARGS, "--interleaver", interleaver,
+                    *artifact_args,
+                ])
+            assert rc == 0, f"default {interleaver} run failed: rc={rc}"
+            # stdout names the artifact paths; drop the temp directory.
+            stdout = sink.getvalue().replace(str(out), "<out>")
+            digests[interleaver] = {"stdout": _sha256(stdout)} | {
+                flag: _sha256((out / name).read_text())
+                for flag, name in DEFAULT_RUN_ARTIFACTS.items()
+            }
+    return json.dumps(digests, indent=2, sort_keys=True) + "\n"
+
+
 def _regen_two_container_trace() -> str:
     from repro.obs import Observation, trace_json
     from tests.test_obs import _two_container_run
@@ -53,6 +98,7 @@ def _regen_two_container_trace() -> str:
 def regenerate() -> dict[str, str]:
     """Golden file name -> freshly derived content (nothing written)."""
     return {
+        "default_runs.json": _regen_default_runs(),
         "roi_table.txt": _regen_roi_table(),
         "two_container_trace.json": _regen_two_container_trace(),
     }

@@ -1,10 +1,9 @@
-"""Unit tests for containers, leases and the cloud provider."""
+"""Unit tests for container specs and leases."""
 
 import pytest
 
 from repro.cloud.container import Container, ContainerSpec, PAPER_CONTAINER
 from repro.cloud.pricing import PAPER_PRICING
-from repro.cloud.provider import CloudProvider
 
 
 class TestContainerSpec:
@@ -58,43 +57,3 @@ class TestLease:
         c.busy_seconds = 30.0
         assert c.utilization(PAPER_PRICING) == pytest.approx(0.5)
 
-
-class TestProvider:
-    def test_allocate_release_billing(self):
-        provider = CloudProvider(PAPER_PRICING, max_containers=2)
-        c = provider.allocate(time=0.0)
-        c.extend_lease_to(90.0, PAPER_PRICING)  # 2 quanta
-        provider.release(c.container_id)
-        assert provider.ledger.compute_quanta == 2
-        assert provider.ledger.compute_dollars == pytest.approx(0.2)
-
-    def test_max_containers_enforced(self):
-        provider = CloudProvider(PAPER_PRICING, max_containers=1)
-        provider.allocate(time=0.0)
-        with pytest.raises(RuntimeError):
-            provider.allocate(time=0.0)
-
-    def test_total_cost_includes_live_leases_and_storage(self):
-        provider = CloudProvider(PAPER_PRICING, max_containers=4)
-        c = provider.allocate(time=0.0)
-        c.extend_lease_to(60.0, PAPER_PRICING)
-        provider.storage.put("x", 100.0, time=0.0)
-        total = provider.total_cost(until=600.0)  # 10 quanta of storage
-        assert total == pytest.approx(0.1 + 0.1)
-
-    def test_idle_accounting(self):
-        provider = CloudProvider(PAPER_PRICING, max_containers=2)
-        c = provider.allocate(time=0.0)
-        c.extend_lease_to(120.0, PAPER_PRICING)
-        c.busy_seconds = 30.0
-        provider.release(c.container_id)
-        assert provider.ledger.idle_seconds(PAPER_PRICING) == pytest.approx(90.0)
-        assert provider.ledger.idle_quanta(PAPER_PRICING) == pytest.approx(1.5)
-
-    def test_release_all(self):
-        provider = CloudProvider(PAPER_PRICING, max_containers=3)
-        for _ in range(3):
-            provider.allocate(time=0.0)
-        provider.release_all()
-        assert provider.active_containers == []
-        assert provider.ledger.containers_released == 3

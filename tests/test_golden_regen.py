@@ -12,7 +12,9 @@ from tests.golden import GOLDEN_DIR, regenerate, write_goldens
 
 def test_regeneration_is_a_noop_on_a_clean_tree():
     fresh = regenerate()
-    assert set(fresh) == {"roi_table.txt", "two_container_trace.json"}
+    assert set(fresh) == {
+        "default_runs.json", "roi_table.txt", "two_container_trace.json",
+    }
     for name, content in fresh.items():
         on_disk = (GOLDEN_DIR / name).read_text()
         assert content == on_disk, (
@@ -24,7 +26,7 @@ def test_regeneration_is_a_noop_on_a_clean_tree():
 def test_write_goldens_targets_the_requested_directory(tmp_path):
     written = write_goldens(tmp_path)
     assert sorted(p.name for p in written) == [
-        "roi_table.txt", "two_container_trace.json",
+        "default_runs.json", "roi_table.txt", "two_container_trace.json",
     ]
     for path in written:
         assert path.parent == tmp_path
