@@ -8,7 +8,7 @@ allocation (idle containers deleted at quantum boundaries) lives in
 """
 
 from repro.cloud.cache import CacheStats, LRUCache
-from repro.cloud.container import Container, ContainerSpec, PAPER_CONTAINER
+from repro.cloud.container import ContainerSpec, PAPER_CONTAINER
 from repro.cloud.pricing import PAPER_PRICING, PricingModel
 from repro.cloud.storage import CloudStorage, StoredObject
 from repro.cloud.vmtypes import VMType, default_vm_catalog
@@ -16,7 +16,6 @@ from repro.cloud.vmtypes import VMType, default_vm_catalog
 __all__ = [
     "CacheStats",
     "LRUCache",
-    "Container",
     "ContainerSpec",
     "PAPER_CONTAINER",
     "PAPER_PRICING",

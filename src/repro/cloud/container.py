@@ -3,16 +3,13 @@
 The paper assumes homogeneous VMs with fixed CPU, memory, disk and network
 capacity, charged ``Mc`` per quantum; an idle VM is deleted when its
 currently leased quantum expires, and files on its local disk are then
-lost (Section 3, "Cloud Model").
+lost (Section 3, "Cloud Model"). This module holds the capacity spec;
+leases and local disk caches live in :mod:`repro.core.pool`.
 """
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass, field
-
-from repro.cloud.cache import LRUCache
-from repro.cloud.pricing import PricingModel
+from dataclasses import dataclass
 
 
 @dataclass(frozen=True)
@@ -48,55 +45,3 @@ class ContainerSpec:
 
 #: The homogeneous container used throughout the evaluation (Section 6.1).
 PAPER_CONTAINER = ContainerSpec()
-
-
-@dataclass
-class Container:
-    """A leased container instance.
-
-    Tracks the lease interval (in whole quanta), the local LRU disk cache,
-    and simple utilisation accounting. Scheduling itself lives in
-    :mod:`repro.scheduling`; the container only knows its own lease.
-    """
-
-    container_id: int
-    spec: ContainerSpec = PAPER_CONTAINER
-    lease_start: float = 0.0
-    leased_quanta: int = 0
-    busy_seconds: float = 0.0
-    cache: LRUCache = field(default=None)  # type: ignore[assignment]
-
-    def __post_init__(self) -> None:
-        if self.cache is None:
-            self.cache = LRUCache(capacity_mb=self.spec.disk_mb)
-
-    def lease_end(self, pricing: PricingModel) -> float:
-        """Wall-clock second at which the current lease expires."""
-        return self.lease_start + self.leased_quanta * pricing.quantum_seconds
-
-    def extend_lease_to(self, time: float, pricing: PricingModel) -> int:
-        """Extend the lease so it covers wall-clock second ``time``.
-
-        Returns the number of newly leased quanta (0 if already covered).
-        """
-        if time < self.lease_start:
-            raise ValueError("cannot lease into the past")
-        needed = pricing.quanta_ceil(max(time - self.lease_start, 1e-12))
-        added = max(0, needed - self.leased_quanta)
-        self.leased_quanta = max(self.leased_quanta, needed)
-        return added
-
-    def quantum_boundary_after(self, time: float, pricing: PricingModel) -> float:
-        """First quantum boundary at or after ``time`` for this lease."""
-        if time <= self.lease_start:
-            return self.lease_start
-        offset = time - self.lease_start
-        quanta = math.ceil(offset / pricing.quantum_seconds - 1e-12)
-        return self.lease_start + quanta * pricing.quantum_seconds
-
-    def utilization(self, pricing: PricingModel) -> float:
-        """Fraction of the leased time actually spent running operators."""
-        leased_seconds = self.leased_quanta * pricing.quantum_seconds
-        if leased_seconds <= 0:
-            return 0.0
-        return min(1.0, self.busy_seconds / leased_seconds)

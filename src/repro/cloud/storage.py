@@ -49,7 +49,8 @@ class CloudStorage:
         owner: str | None = None,
     ) -> None:
         self._pricing = pricing
-        self._injector = injector
+        # A zero-rate injector never draws: the null object of faults.
+        self._injector = injector if injector is not None else FaultInjector()
         # Tenant attribution: the multi-tenant front end names each
         # bulkhead's store so transient errors (and the typed
         # RetriesExhausted built from them) carry their owner. None —
@@ -75,7 +76,7 @@ class CloudStorage:
         """
         if size_mb < 0:
             raise ValueError("size_mb must be non-negative")
-        if self._injector is not None and self._injector.storage_put_fails():
+        if self._injector.storage_put_fails():
             logger.debug("storage put lost: %s (%.1f MB)", path, size_mb)
             raise TransientStorageError("put", path, owner=self.owner)
         crash_point("storage.pre_put")
@@ -122,7 +123,7 @@ class CloudStorage:
         obj = self._objects.get(path)
         if obj is None or not obj.live:
             raise KeyError(f"no live object at {path!r}")
-        if self._injector is not None and self._injector.storage_delete_fails():
+        if self._injector.storage_delete_fails():
             logger.debug("storage delete lost: %s", path)
             raise TransientStorageError("delete", path, owner=self.owner)
         crash_point("storage.pre_delete")

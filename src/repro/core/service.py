@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import heapq
 import logging
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from enum import Enum
 from typing import Iterator
 
@@ -32,7 +32,7 @@ from repro.explore.hooks import ALL_RESOURCES, Action, Epoch, declared_effects
 from repro.faults.injector import FaultInjector, TransientStorageError
 from repro.faults.retry import RetryPolicy
 from repro.interleave.knapsack import reset_knapsack_cache
-from repro.interleave.lp import InterleavedSchedule
+from repro.interleave.lp import InterleavedSchedule, update_runtimes_for_indexes
 from repro.interleave.slots import BuildCandidate
 from repro.obs import (
     IndexLedger,
@@ -46,7 +46,7 @@ from repro.scheduling.schedule import Assignment, Schedule
 from repro.scheduling.skyline import SkylineScheduler
 from repro.tuning.gain import GainModel, IndexGain
 from repro.tuning.history import DataflowHistory
-from repro.tuning.tuner import OnlineIndexTuner
+from repro.tuning.tuner import OnlineIndexTuner, TunerDecision
 
 logger = logging.getLogger(__name__)
 
@@ -99,18 +99,6 @@ class Strategy(Enum):
 
 
 @dataclass
-class _PendingDecision:
-    interleaved: InterleavedSchedule
-    time_gains: dict[str, float]
-    money_gains: dict[str, float]
-    to_delete: list[str]
-    # Full per-index gain evaluations (Eq. 3-5 terms) of the decision
-    # that produced this schedule; the journal's index_build/index_delete
-    # events carry the matching breakdown.
-    gains: dict[str, IndexGain] = field(default_factory=dict)
-
-
-@dataclass
 class RunState:
     """The loop state of one service run, between iterations.
 
@@ -131,7 +119,7 @@ class RunState:
     running: list[float] = field(default_factory=list)
     #: Results whose effects (built partitions, history) have not been
     #: applied yet — applied once simulated time passes their finish.
-    pending: list[tuple[float, object, _PendingDecision, str]] = field(
+    pending: list[tuple[float, object, TunerDecision, str]] = field(
         default_factory=list
     )
     #: Index of the next arrival to admit.
@@ -152,9 +140,10 @@ class ServiceGuard:
 
     The multi-tenant front end (:mod:`repro.tenancy`) subclasses this to
     wire circuit breakers and per-dataflow deadline budgets into the
-    service loop without the core importing the tenancy layer. Every
-    hook site in :class:`QaaSService` is gated on ``guard is not None``,
-    so guard-free runs are byte-identical to builds without the hooks.
+    service loop without the core importing the tenancy layer. The loop
+    calls every hook unconditionally: this base class is the null
+    object, and its hooks neither draw randomness nor touch state, so a
+    run without a tenant guard is byte-identical to one without hooks.
     """
 
     def decide_mode(self, issued_at: float, exec_start: float) -> str:
@@ -196,20 +185,16 @@ class QaaSService:
         self.workload = workload
         self.config = config
         self.strategy = strategy
-        # Protective hooks (breakers, deadline degradation): every call
-        # site is gated on ``guard is not None``, so the default run is
-        # byte-identical to a build without the guard surface.
-        self.guard = guard
+        # The loop's sinks are null objects when off, and it calls them
+        # unconditionally. The no-ops draw no randomness, read no clock
+        # and change no state, so a run with the default guard (allow
+        # everything), NOOP_OBS or NOOP_RECOVERY is byte-identical to
+        # one without the sink wired in at all. Observability and the
+        # recovery log are also write-only: nothing branches on them.
+        self.guard = guard if guard is not None else ServiceGuard()
         self.catalog = workload.catalog
         self.pricing = config.pricing
-        # Observability is strictly read-only: every obs call is gated on
-        # ``obs.enabled`` and nothing downstream branches on it, so an
-        # obs-enabled run is behaviour-identical to a disabled one.
         self.obs = obs if obs is not None else NOOP_OBS
-        # The recovery log follows the same contract: every record call
-        # is gated on ``recovery.enabled``, the log draws no randomness
-        # and reads no clock, so a recovery-disabled run is byte-identical
-        # to one without recovery wired in at all.
         self.recovery = recovery if recovery is not None else NOOP_RECOVERY
         # Fault injection and retry draw from their own seeded streams
         # (seed+3 / seed+4): a zero-rate profile leaves the workload,
@@ -265,23 +250,22 @@ class QaaSService:
             max_candidates=config.max_candidates,
             obs=self.obs,
         )
-        # ROI accounting and the regression watchdog are opt-in: with
-        # both flags off neither object exists and no feed site runs, so
-        # default runs stay byte-identical. The ledger writes through the
-        # observation's journal/metrics (no-ops when obs is disabled —
-        # rollback still works, it just leaves no events behind).
-        self._ledger: IndexLedger | None = None
+        # ROI accounting and the regression watchdog are opt-in and come
+        # together: the watchdog owns the ledger it audits. With both
+        # flags off neither exists and no feed site runs, so default runs
+        # stay byte-identical. The ledger writes through the observation's
+        # journal/metrics (no-ops when obs is disabled — rollback still
+        # works, it just leaves no events behind).
         self._watchdog: RegressionWatchdog | None = None
         if config.roi_ledger or config.watchdog_rollback:
-            self._ledger = IndexLedger(
-                journal=self.obs.journal,
-                metrics=self.obs.metrics,
-                quantum_seconds=self.pricing.quantum_seconds,
-                quantum_price=self.pricing.quantum_price,
-                storage_price_mb_quantum=self.pricing.storage_price_mb_quantum,
-            )
             self._watchdog = RegressionWatchdog(
-                ledger=self._ledger,
+                ledger=IndexLedger(
+                    journal=self.obs.journal,
+                    metrics=self.obs.metrics,
+                    quantum_seconds=self.pricing.quantum_seconds,
+                    quantum_price=self.pricing.quantum_price,
+                    storage_price_mb_quantum=self.pricing.storage_price_mb_quantum,
+                ),
                 journal=self.obs.journal,
                 metrics=self.obs.metrics,
                 quantum_seconds=self.pricing.quantum_seconds,
@@ -294,29 +278,23 @@ class QaaSService:
     # ------------------------------------------------------------------
     def _decide(
         self, dataflow: Dataflow, now: float, queued: list[Dataflow] | None = None
-    ) -> _PendingDecision:
+    ) -> TunerDecision:
         if self.strategy is Strategy.NO_INDEX:
-            skyline = self.scheduler.schedule(dataflow)
-            fastest = min(skyline, key=lambda s: s.makespan_seconds())
-            return _PendingDecision(
-                interleaved=InterleavedSchedule(schedule=fastest),
-                time_gains={},
-                money_gains={},
-                to_delete=[],
-            )
+            return self._decide_degraded(dataflow, MODE_UNINDEXED)
         if self.strategy is Strategy.RANDOM:
             return self._decide_random(dataflow)
         decision = self.tuner.on_dataflow(dataflow, now, queued=queued)
-        to_delete = decision.to_delete if self.strategy is Strategy.GAIN else []
-        return _PendingDecision(
-            interleaved=decision.chosen,
-            time_gains=decision.dataflow_time_gains,
-            money_gains=decision.dataflow_money_gains,
-            to_delete=to_delete,
-            gains=decision.gains,
+        # The decision waits in RunState.pending until it settles: drop
+        # the skyline and ranking it no longer needs so snapshots of the
+        # pending queue stay small.
+        return replace(
+            decision,
+            skyline=[],
+            ranked=[],
+            to_delete=decision.to_delete if self.strategy is Strategy.GAIN else [],
         )
 
-    def _decide_degraded(self, dataflow: Dataflow, mode: str) -> _PendingDecision:
+    def _decide_degraded(self, dataflow: Dataflow, mode: str) -> TunerDecision:
         """Graceful degradation: schedule without consulting the tuner.
 
         ``indexed`` still folds already-built indexes into the operator
@@ -327,34 +305,36 @@ class QaaSService:
         pressure or breaker trip clears.
         """
         if mode == MODE_INDEXED:
-            from repro.interleave.lp import update_runtimes_for_indexes
-
-            built = self.catalog.built_indexes()
-            available = {idx.name for idx in built}
-            if available:
-                fractions = {idx.name: idx.built_fraction() for idx in built}
-                sizes = {
-                    idx.name: self.catalog.cost_model.index_size_mb(idx.table, idx.spec)
-                    for idx in built
-                }
-                update_runtimes_for_indexes(dataflow, available, fractions, sizes)
-        skyline = self.scheduler.schedule(dataflow)
-        fastest = min(skyline, key=lambda s: s.makespan_seconds())
-        return _PendingDecision(
-            interleaved=InterleavedSchedule(schedule=fastest),
-            time_gains={},
-            money_gains={},
-            to_delete=[],
+            self._fold_built_indexes(dataflow)
+        return TunerDecision(
+            chosen=InterleavedSchedule(schedule=self._fastest(dataflow))
         )
 
-    def _decide_random(self, dataflow: Dataflow) -> _PendingDecision:
+    def _decide_random(self, dataflow: Dataflow) -> TunerDecision:
         """Random baseline: random indexes, random slot assignment.
 
         The available indexes still speed up operators (the baseline
         differs only in *which* indexes get built and *where*).
         """
-        from repro.interleave.lp import update_runtimes_for_indexes
+        self._fold_built_indexes(dataflow)
+        fastest = self._fastest(dataflow)
+        candidates = self._random_candidates(dataflow)
+        assignments = self._random_pack(fastest, candidates)
+        return TunerDecision(
+            chosen=InterleavedSchedule(
+                schedule=fastest,
+                build_assignments=assignments,
+                scheduled_builds=candidates[: len(assignments)],
+            )
+        )
 
+    def _fastest(self, dataflow: Dataflow) -> Schedule:
+        """The minimum-makespan point of the dataflow's skyline."""
+        skyline = self.scheduler.schedule(dataflow)
+        return min(skyline, key=lambda s: s.makespan_seconds())
+
+    def _fold_built_indexes(self, dataflow: Dataflow) -> None:
+        """Speed the dataflow's operators up by the indexes built so far."""
         built = self.catalog.built_indexes()
         available = {idx.name for idx in built}
         if available:
@@ -364,19 +344,6 @@ class QaaSService:
                 for idx in built
             }
             update_runtimes_for_indexes(dataflow, available, fractions, sizes)
-        skyline = self.scheduler.schedule(dataflow)
-        fastest = min(skyline, key=lambda s: s.makespan_seconds())
-
-        candidates = self._random_candidates(dataflow)
-        assignments = self._random_pack(fastest, candidates)
-        interleaved = InterleavedSchedule(
-            schedule=fastest,
-            build_assignments=assignments,
-            scheduled_builds=candidates[: len(assignments)],
-        )
-        return _PendingDecision(
-            interleaved=interleaved, time_gains={}, money_gains={}, to_delete=[]
-        )
 
     def _random_candidates(self, dataflow: Dataflow) -> list[BuildCandidate]:
         """Random partitions of random indexes from the full potential set.
@@ -456,20 +423,18 @@ class QaaSService:
         path joins the same orphan queue and is swept once the breaker
         closes again.
         """
-        if self.guard is not None and not self.guard.allow_storage_delete(path, time):
+        if not self.guard.allow_storage_delete(path, time):
             self._orphan_paths.append(path)
             logger.info("storage breaker open: delete of %s deferred", path)
             return False
         try:
             self.storage.delete(path, time)
-            if self.guard is not None:
-                self.guard.record_storage_delete(True, time)
+            self.guard.record_storage_delete(True, time)
             return True
         except TransientStorageError:
             metrics.storage_delete_failures += 1
             self._orphan_paths.append(path)
-            if self.guard is not None:
-                self.guard.record_storage_delete(False, time)
+            self.guard.record_storage_delete(False, time)
             logger.info("delete of %s failed transiently; will retry", path)
             return False
 
@@ -515,13 +480,12 @@ class QaaSService:
                 for pid in pids:
                     if index.partitions[pid].built:
                         index.invalidate_partition(pid)
-                        if self.recovery.enabled:
-                            self.recovery.record(
-                                "index_partition_invalidated",
-                                update_time,
-                                index=index.name,
-                                partition=pid,
-                            )
+                        self.recovery.record(
+                            "index_partition_invalidated",
+                            update_time,
+                            index=index.name,
+                            partition=pid,
+                        )
                         # Stale cost terms die with the build version;
                         # the explicit call keeps the memo bounded and
                         # the invalidation observable.
@@ -562,9 +526,7 @@ class QaaSService:
         # (and occasionally just past) the dataflow; never rewind the
         # storage billing clock.
         at = max(done.finished_at, self.storage.accounted_until)
-        if self.guard is not None and not self.guard.allow_build_put(
-            done.index_name, at
-        ):
+        if not self.guard.allow_build_put(done.index_name, at):
             metrics.degraded_builds += 1
             metrics.breaker_skipped_builds += 1
             logger.info(
@@ -578,8 +540,7 @@ class QaaSService:
         except TransientStorageError:
             metrics.storage_put_failures += 1
             metrics.degraded_builds += 1
-            if self.guard is not None:
-                self.guard.record_build_put(False, at)
+            self.guard.record_build_put(False, at)
             logger.info(
                 "put of %s partition %d lost; partition stays unbuilt",
                 done.index_name, done.partition_id,
@@ -590,8 +551,7 @@ class QaaSService:
             # and ended its billing; retrying that delete would now
             # remove the rebuilt partition.
             self._orphan_paths = [p for p in self._orphan_paths if p != path]
-        if self.guard is not None:
-            self.guard.record_build_put(True, at)
+        self.guard.record_build_put(True, at)
         yield "build.catalog_mark"
         resumed = index.partitions[done.partition_id].checkpoint_seconds > 0
         if resumed:
@@ -601,36 +561,31 @@ class QaaSService:
         self.tuner.gain_model.invalidate_index(done.index_name)
         if not was_built:
             metrics.indexes_created += 1
-        if self.recovery.enabled:
-            self.recovery.record(
-                "index_build_completed",
-                done.finished_at,
-                index=done.index_name,
-                partition=done.partition_id,
-                size_mb=size_mb,
-                resumed=resumed,
-            )
-        if self.obs.enabled:
-            gain = (gains or {}).get(done.index_name)
-            self.obs.journal.emit(
-                "index_build",
-                t=done.finished_at,
-                index=done.index_name,
-                partition=done.partition_id,
-                size_mb=size_mb,
-                resumed=resumed,
-                breakdown=gain.breakdown() if gain is not None else None,
-            )
-            self.obs.metrics.counter("service/partitions_built").inc()
-        if self._ledger is not None:
+        # One fact, two sinks: the WAL record and the journal event share
+        # their fields; the journal adds the decision's gain breakdown.
+        fact: dict[str, object] = {
+            "index": done.index_name,
+            "partition": done.partition_id,
+            "size_mb": size_mb,
+            "resumed": resumed,
+        }
+        self.recovery.record("index_build_completed", done.finished_at, **fact)
+        gain = (gains or {}).get(done.index_name)
+        self.obs.journal.emit(
+            "index_build",
+            t=done.finished_at,
+            breakdown=gain.breakdown() if gain is not None else None,
+            **fact,
+        )
+        self.obs.metrics.counter("service/partitions_built").inc()
+        if self._watchdog is not None:
             build_s = self.catalog.cost_model.partition_model(
                 index.table, index.spec, index.table.partition(done.partition_id)
             ).total_build_seconds
-            self._ledger.on_build(
+            self._watchdog.ledger.on_build(
                 done.index_name, done.partition_id, at, size_mb, build_s
             )
-            if self._watchdog is not None:
-                self._watchdog.on_build(done.index_name, at)
+            self._watchdog.on_build(done.index_name, at)
 
     def _iter_apply_checkpoints(self, result, metrics: ServiceMetrics) -> Iterator[str]:
         """Persist partial-build progress of preemption-killed builds,
@@ -643,15 +598,14 @@ class QaaSService:
                 continue
             index.record_checkpoint(ckpt.partition_id, ckpt.seconds)
             metrics.checkpoints_recorded += 1
-            if self.recovery.enabled:
-                self.recovery.record(
-                    "index_build_checkpoint",
-                    result.finish_time,
-                    index=ckpt.index_name,
-                    partition=ckpt.partition_id,
-                    seconds=ckpt.seconds,
-                    total=index.checkpoint_seconds(ckpt.partition_id),
-                )
+            self.recovery.record(
+                "index_build_checkpoint",
+                result.finish_time,
+                index=ckpt.index_name,
+                partition=ckpt.partition_id,
+                seconds=ckpt.seconds,
+                total=index.checkpoint_seconds(ckpt.partition_id),
+            )
             logger.debug(
                 "checkpoint: %s partition %d +%.1fs (total %.1fs)",
                 ckpt.index_name, ckpt.partition_id, ckpt.seconds,
@@ -666,27 +620,26 @@ class QaaSService:
             self.tuner.record_execution(
                 result.dataflow_name,
                 result.finish_time,
-                decision.time_gains,
-                decision.money_gains,
+                decision.dataflow_time_gains,
+                decision.dataflow_money_gains,
             )
-            if self.recovery.enabled:
-                history = self.tuner.history
+            history = self.tuner.history
+            self.recovery.record(
+                "history_append",
+                result.finish_time,
+                dataflow=result.dataflow_name,
+                end=history.end_position,
+                head=history.head_position,
+            )
+            if history.head_position != head_before:
+                # The bounded window evicted its oldest records: the
+                # "history slide" the gain model feels.
                 self.recovery.record(
-                    "history_append",
+                    "history_slide",
                     result.finish_time,
-                    dataflow=result.dataflow_name,
-                    end=history.end_position,
                     head=history.head_position,
+                    evicted=history.head_position - head_before,
                 )
-                if history.head_position != head_before:
-                    # The bounded window evicted its oldest records:
-                    # the "history slide" the gain model feels.
-                    self.recovery.record(
-                        "history_slide",
-                        result.finish_time,
-                        head=history.head_position,
-                        evicted=history.head_position - head_before,
-                    )
         metrics.snapshots.append(self._snapshot(result.finish_time))
         return
         yield "history.append"  # pragma: no cover - marks this a generator
@@ -706,7 +659,6 @@ class QaaSService:
             return
         now = max(now, self.storage.accounted_until)
         pids = index.built_partition_ids()
-        dropped_partitions = len(pids)
         for k, pid in enumerate(pids):
             path = index.spec.path(pid)
             if self.storage.exists(path):
@@ -715,27 +667,19 @@ class QaaSService:
         index.drop_all()
         self.tuner.gain_model.invalidate_index(name)
         metrics.indexes_deleted += 1
-        if self.recovery.enabled:
-            self.recovery.record(
-                "index_deleted",
-                now,
-                index=name,
-                partitions_dropped=dropped_partitions,
-            )
-        if self.obs.enabled:
-            gain = (gains or {}).get(name)
-            self.obs.journal.emit(
-                "index_delete",
-                t=now,
-                index=name,
-                partitions_dropped=dropped_partitions,
-                breakdown=gain.breakdown() if gain is not None else None,
-            )
-            self.obs.metrics.counter("service/indexes_deleted").inc()
-        if self._ledger is not None:
-            self._ledger.on_delete(name, now)
-            if self._watchdog is not None:
-                self._watchdog.on_delete(name, now)
+        fact: dict[str, object] = {"index": name, "partitions_dropped": len(pids)}
+        self.recovery.record("index_deleted", now, **fact)
+        gain = (gains or {}).get(name)
+        self.obs.journal.emit(
+            "index_delete",
+            t=now,
+            breakdown=gain.breakdown() if gain is not None else None,
+            **fact,
+        )
+        self.obs.metrics.counter("service/indexes_deleted").inc()
+        if self._watchdog is not None:
+            self._watchdog.ledger.on_delete(name, now)
+            self._watchdog.on_delete(name, now)
 
     def _iter_watchdog_delete(
         self, name: str, now: float, metrics: ServiceMetrics
@@ -744,11 +688,11 @@ class QaaSService:
 
         Reuses the ordinary delete sequence (so recovery records,
         journal events and metrics stay uniform), then books the
-        rollback with the watchdog.
+        rollback with the watchdog that flagged it.
         """
         yield from self._iter_apply_delete(name, now, metrics, gains=None)
-        if self._watchdog is not None:
-            self._watchdog.on_rolled_back(name)
+        assert self._watchdog is not None  # only a watchdog flags rollbacks
+        self._watchdog.on_rolled_back(name)
 
     def _iter_execute(self, decision, exec_start: float, out: list) -> Iterator[str]:
         """Slot-fill and execute the decision (one atomic micro-step);
@@ -756,12 +700,12 @@ class QaaSService:
         if self.pool is not None:
             out.append(
                 self.simulator.execute_pooled(
-                    decision.interleaved, start_time=exec_start, pool=self.pool
+                    decision.chosen, start_time=exec_start, pool=self.pool
                 )
             )
         else:
             out.append(
-                self.simulator.execute(decision.interleaved, start_time=exec_start)
+                self.simulator.execute(decision.chosen, start_time=exec_start)
             )
         return
         yield "slotfill.execute"  # pragma: no cover - marks this a generator
@@ -923,17 +867,17 @@ class QaaSService:
             if result.checkpoints:
                 epoch.offer(self._kill_action(result, metrics))
             epoch.offer(self._history_action(result, decision, metrics))
-            if self._ledger is not None:
+            if self._watchdog is not None:
                 # Realized-benefit attribution: credit each available
                 # index with the runtime this dataflow actually saved by
                 # probing it (the interleaver's fold-in savings).
-                savings = decision.interleaved.index_savings
+                savings = decision.chosen.index_savings
                 for name in sorted(savings):
-                    self._ledger.on_probe(
+                    self._watchdog.ledger.on_probe(
                         name, result.finish_time, result.dataflow_name, savings[name]
                     )
                 if savings:
-                    self._ledger.emit_roi(sorted(savings), result.finish_time)
+                    self._watchdog.ledger.emit_roi(sorted(savings), result.finish_time)
         state.pending[:] = remaining
 
     def _acquire_slot(self, state: RunState, arrival: float) -> float:
@@ -961,10 +905,9 @@ class QaaSService:
         if exec_start >= self.config.total_time_s:
             state.exhausted = True
             return False
-        if self.recovery.enabled:
-            self.recovery.record(
-                "clock_advance", exec_start, iteration=i, issued_at=event.time
-            )
+        self.recovery.record(
+            "clock_advance", exec_start, iteration=i, issued_at=event.time
+        )
         epoch = Epoch(f"step:{i}")
         self._settle(state, exec_start, epoch)
         self._retry_orphan_deletes(exec_start, metrics)
@@ -978,14 +921,13 @@ class QaaSService:
                     continue
                 epoch.offer(self._watchdog_delete_action(name, exec_start, metrics))
         dataflow = self._dataflow_at(state, i)
-        if self.recovery.enabled:
-            self.recovery.record(
-                "dataflow_admitted",
-                exec_start,
-                iteration=i,
-                dataflow=dataflow.name,
-                app=event.app,
-            )
+        self.recovery.record(
+            "dataflow_admitted",
+            exec_start,
+            iteration=i,
+            dataflow=dataflow.name,
+            app=event.app,
+        )
         # Dataflows already issued but still waiting count toward the
         # index gains at age 0 (Section 4: "currently running or
         # queued").
@@ -999,35 +941,26 @@ class QaaSService:
             queued.append(self._dataflow_at(state, j))
         epoch.pause("service.pre_decide")
         crash_point("service.pre_decide")
-        mode = MODE_FULL if self.guard is None else self.guard.decide_mode(
-            event.time, exec_start
-        )
+        mode = self.guard.decide_mode(event.time, exec_start)
         if mode == MODE_FULL:
             decision = self._decide(dataflow, now=exec_start, queued=queued)
         else:
             decision = self._decide_degraded(dataflow, mode)
             metrics.degraded_decisions += 1
         crash_point("service.post_decide")
-        if self._ledger is not None:
-            # Capture the tuner's decision-time prediction for every
-            # index this decision schedules a build for, so the ledger
-            # can reconcile it against realized benefit later.
-            scheduled = {c.index_name for c in decision.interleaved.scheduled_builds}
-            for name in sorted(scheduled):
-                gain = decision.gains.get(name)
-                if gain is not None:
-                    self._ledger.on_predicted(name, exec_start, gain.combined_dollars)
-        if self.recovery.enabled and (
-            decision.interleaved.scheduled_builds or decision.to_delete
-        ):
+        if self._watchdog is not None:
+            # The ledger reconciles the tuner's decision-time prediction
+            # for every index this decision builds against the benefit
+            # it later realizes.
+            for name, predicted in decision.predicted_build_gains().items():
+                self._watchdog.ledger.on_predicted(name, exec_start, predicted)
+        scheduled = decision.chosen.scheduled_builds
+        if scheduled or decision.to_delete:
             self.recovery.record(
                 "builds_scheduled",
                 exec_start,
                 iteration=i,
-                builds=[
-                    [c.index_name, c.partition_id]
-                    for c in decision.interleaved.scheduled_builds
-                ],
+                builds=[[c.index_name, c.partition_id] for c in scheduled],
                 to_delete=list(decision.to_delete),
             )
         for name in decision.to_delete:
@@ -1054,10 +987,7 @@ class QaaSService:
         metrics.stragglers += result.stragglers
         metrics.builds_failed += result.builds_failed
         metrics.degraded_builds += result.builds_failed
-        if self.guard is not None and result.builds_failed:
-            self.guard.record_build_failures(
-                result.builds_failed, result.finish_time
-            )
+        self.guard.record_build_failures(result.builds_failed, result.finish_time)
         metrics.outcomes.append(
             DataflowOutcome(
                 name=dataflow.name,
@@ -1072,29 +1002,22 @@ class QaaSService:
                 operator_retries=result.operator_retries,
             )
         )
-        if self.obs.enabled:
-            self.obs.journal.emit(
-                "dataflow_executed",
-                t=result.finish_time,
-                dataflow=dataflow.name,
-                app=event.app,
-                issued_at=event.time,
-                started_at=exec_start,
-                money_quanta=result.money_quanta,
-                builds_completed=len(result.builds_completed),
-                builds_killed=result.builds_killed,
-            )
-            self.obs.metrics.counter("service/dataflows_executed").inc()
-        if self.recovery.enabled:
-            self.recovery.record(
-                "execution",
-                result.finish_time,
-                iteration=i,
-                dataflow=dataflow.name,
-                money_quanta=result.money_quanta,
-                builds_completed=len(result.builds_completed),
-                builds_killed=result.builds_killed,
-            )
+        fact: dict[str, object] = {
+            "dataflow": dataflow.name,
+            "money_quanta": result.money_quanta,
+            "builds_completed": len(result.builds_completed),
+            "builds_killed": result.builds_killed,
+        }
+        self.obs.journal.emit(
+            "dataflow_executed",
+            t=result.finish_time,
+            app=event.app,
+            issued_at=event.time,
+            started_at=exec_start,
+            **fact,
+        )
+        self.obs.metrics.counter("service/dataflows_executed").inc()
+        self.recovery.record("execution", result.finish_time, iteration=i, **fact)
         epoch.drain("service.step_end")
         state.i = i + 1
         self.recovery.commit(self, state, exec_start)
@@ -1109,8 +1032,8 @@ class QaaSService:
         self._settle(state, float("inf"), epoch)
         epoch.drain("service.finish")
         self._retry_orphan_deletes(self.config.total_time_s, metrics)
-        if self._ledger is not None:
-            self._ledger.finish(self.config.total_time_s)
+        if self._watchdog is not None:
+            self._watchdog.ledger.finish(self.config.total_time_s)
         metrics.faults_injected = dict(self.injector.stats.by_kind)
         if metrics.total_faults_injected:
             logger.info(

@@ -142,7 +142,8 @@ class ExecutionSimulator:
         self.container = container
         self.runtime_error = runtime_error
         self.rng = rng if rng is not None else np.random.default_rng(0)
-        self.injector = injector
+        # A zero-rate injector never draws: the null object of faults.
+        self.injector = injector if injector is not None else FaultInjector()
         self.retry = retry if retry is not None else RetryPolicy()
         self.obs = obs if obs is not None else NOOP_OBS
         # Deterministic trace track id: one pid per execution, in call
@@ -154,16 +155,6 @@ class ExecutionSimulator:
         if is_zero(self.runtime_error):
             return 1.0
         return float(self.rng.uniform(1.0 - self.runtime_error, 1.0 + self.runtime_error))
-
-    @property
-    def _faults_active(self) -> bool:
-        return self.injector is not None and self.injector.active
-
-    @property
-    def _checkpoint_interval(self) -> float:
-        if self.injector is None:
-            return 0.0
-        return self.injector.profile.checkpoint_interval_s
 
     def _operator_elapsed(self, base: float) -> tuple[float, _OpFaultTally]:
         """Wall-clock one dataflow operator occupies under faults.
@@ -178,7 +169,6 @@ class ExecutionSimulator:
         dataflows always complete, at an honest time/money price.
         """
         injector = self.injector
-        assert injector is not None
         tally = _OpFaultTally()
         elapsed = 0.0
         for attempt in range(self.retry.attempts_for(FaultKind.OPERATOR_TRANSIENT)):
@@ -322,7 +312,7 @@ class ExecutionSimulator:
                 ready = max(ready, arrival)
             start = max(ready, avail.get(a.container_id, 0.0))
             duration = a.duration * self._noise()
-            if self._faults_active:
+            if self.injector.active:
                 duration, tally = self._operator_elapsed(duration)
                 faults.merge(tally)
             end = start + duration
@@ -421,7 +411,7 @@ class ExecutionSimulator:
                 container.cache.put(data_file.name, data_file.size_mb)
                 container.cache.stats.bytes_read_remote += data_file.size_mb
             runtime = op.runtime * self._noise()
-            if self._faults_active:
+            if self.injector.active:
                 duration, tally = self._operator_elapsed(runtime + transfer)
                 faults.merge(tally)
                 if tally.crashes:
@@ -544,8 +534,8 @@ class ExecutionSimulator:
         unstarted = 0
         failed = 0
         injector = self.injector
-        faults_active = self._faults_active and injector is not None
-        ckpt_interval = self._checkpoint_interval if injector is not None else 0.0
+        faults_active = injector.active
+        ckpt_interval = injector.profile.checkpoint_interval_s
         obs = self.obs
         gaps = self._actual_gaps(intervals, lease)
         if obs.enabled:
@@ -574,7 +564,7 @@ class ExecutionSimulator:
                     cursor = None
                     continue
                 if le_tol(duration, remaining):
-                    if faults_active and injector is not None and injector.build_fails():
+                    if faults_active and injector.build_fails():
                         spent = duration * injector.failure_point()
                         failed += 1
                         if obs.enabled:
@@ -597,7 +587,7 @@ class ExecutionSimulator:
                             )
                         cursor = cursor + spent
                         placed = True
-                        if parsed is not None and ckpt_interval > 0 and injector is not None:
+                        if parsed is not None and ckpt_interval > 0:
                             durable = injector.checkpointed(spent)
                             if durable > 0:
                                 checkpoints.append(
@@ -650,7 +640,7 @@ class ExecutionSimulator:
                             ran_s=remaining,
                             needed_s=duration,
                         )
-                    if parsed is not None and ckpt_interval > 0 and injector is not None:
+                    if parsed is not None and ckpt_interval > 0:
                         durable = injector.checkpointed(remaining)
                         if durable > 0:
                             checkpoints.append(

@@ -12,10 +12,10 @@ Two facilities:
 
 * :class:`RecoveryLog` — the no-op write-ahead-log interface the
   service calls at every durable state mutation. The shared
-  :data:`NOOP_RECOVERY` instance makes recovery-disabled runs
-  behaviour-identical (and byte-identical) to a build without recovery:
-  every call site is gated on ``recovery.enabled`` and the log draws no
-  randomness and reads no clock.
+  :data:`NOOP_RECOVERY` instance is the null object that makes
+  recovery-disabled runs behaviour-identical (and byte-identical) to a
+  build without recovery: call sites invoke it unconditionally, and it
+  draws no randomness, reads no clock and keeps no state.
 * **Crash points** — named barriers (:func:`crash_point`) threaded
   through the hot paths. With no :class:`CrashPlan` installed a barrier
   is a single global read; the chaos harness installs a plan that kills
@@ -206,16 +206,17 @@ def crash_point(name: str) -> None:
 class RecoveryLog:
     """No-op recovery log: the default sink wired into every service.
 
-    Mirrors the :class:`repro.obs.journal.Journal` pattern: call sites
-    gate payload construction on :attr:`enabled`, and the no-op draws
-    no randomness, reads no clock and allocates nothing, so a
+    A null object, like :class:`repro.obs.journal.Journal`: the service
+    calls it without checking whether recovery is on, and the no-op
+    draws no randomness, reads no clock and keeps no state, so a
     recovery-disabled run is byte-identical to one without recovery
     compiled in at all.
     """
 
     __slots__ = ()
 
-    #: Whether mutations are durably journalled; gate payloads on it.
+    #: Whether mutations are durably journalled (read by tooling that
+    #: needs the WAL itself, such as the benchmark's WAL counters).
     enabled: bool = False
 
     def record(self, kind: str, t: float, **fields: object) -> None:

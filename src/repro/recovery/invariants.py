@@ -217,7 +217,7 @@ class InvariantMonitor:
         self, state: Any, t: float, out: list[InvariantViolation]
     ) -> None:
         for _finish, _result, decision, _app in state.pending:
-            schedule = decision.interleaved.schedule
+            schedule = decision.chosen.schedule
             by_container: dict[int, list[Any]] = {}
             for assignment in schedule.dataflow_assignments():
                 by_container.setdefault(assignment.container_id, []).append(

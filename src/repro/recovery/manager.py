@@ -321,20 +321,14 @@ class RecoveryManager(RecoveryLog):
             catalog=self._catalog_digest(service),
             live_mb=service.storage.live_mb,
         )
-        if service.obs.enabled:
-            service.obs.metrics.counter("recovery/wal_records").set(
-                float(self._position)
-            )
+        service.obs.metrics.counter("recovery/wal_records").set(float(self._position))
         if state.i % self.snapshot_every == 0:
             self._snapshot(service, state, t)
 
     def on_run_finished(self, service: Any, state: Any, t: float) -> None:
         """Seal the WAL; further resumes of this directory are refused."""
         self.record("run_finished", t, iteration=state.i)
-        if service.obs.enabled:
-            service.obs.metrics.counter("recovery/wal_records").set(
-                float(self._position)
-            )
+        service.obs.metrics.counter("recovery/wal_records").set(float(self._position))
         self.stats.finished = True
         self._save_sidecar()
         self.wal.close()
@@ -346,14 +340,13 @@ class RecoveryManager(RecoveryLog):
         # Obs bookkeeping goes FIRST so the pickled snapshot contains its
         # own event and counter increment — replaying from it re-emits
         # only the *later* boundaries, keeping artifacts byte-identical.
-        if service.obs.enabled:
-            service.obs.metrics.counter("recovery/snapshots_written").inc()
-            service.obs.journal.emit(
-                "recovery_snapshot",
-                t=t,
-                iteration=state.i,
-                wal_position=self._position,
-            )
+        service.obs.metrics.counter("recovery/snapshots_written").inc()
+        service.obs.journal.emit(
+            "recovery_snapshot",
+            t=t,
+            iteration=state.i,
+            wal_position=self._position,
+        )
         from repro.interleave.knapsack import export_knapsack_cache
 
         blob = {

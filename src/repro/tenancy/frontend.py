@@ -201,14 +201,9 @@ class TenantFrontEnd:
                 )
 
     # ------------------------------------------------------------------
-    def _emit(self, event: str, t: float, **payload: object) -> None:
-        if self.obs.enabled:
-            self.obs.journal.emit(event, t=t, **payload)
-
     def _count(self, tenant_id: int, what: str) -> None:
-        if self.obs.enabled:
-            self.obs.metrics.counter(f"tenancy/{what}").inc()
-            self.obs.metrics.counter(f"tenancy/t{tenant_id}/{what}").inc()
+        self.obs.metrics.counter(f"tenancy/{what}").inc()
+        self.obs.metrics.counter(f"tenancy/t{tenant_id}/{what}").inc()
 
     def _step_once(self, runtime: _TenantRuntime) -> bool:
         """One service step plus in-flight/invariant bookkeeping."""
@@ -266,7 +261,7 @@ class TenantFrontEnd:
             self._catch_up(time)
             if time >= horizon or runtime.state.exhausted:
                 stats.shed += 1
-                self._emit(
+                self.obs.journal.emit(
                     "tenant_shed", time, tenant=tenant_id, seq=seq, app=app,
                     reason="horizon",
                 )
@@ -282,7 +277,7 @@ class TenantFrontEnd:
                 stats.admitted += 1
                 runtime.state.ordered.append(ArrivalEvent(time=time, app=app))
                 runtime.state.generated.append(None)
-                self._emit(
+                self.obs.journal.emit(
                     "tenant_admitted", time, tenant=tenant_id, seq=seq, app=app
                 )
                 self._count(tenant_id, "admitted")
@@ -290,7 +285,7 @@ class TenantFrontEnd:
                 stats.deferred += 1
                 retry_at = decision.retry_at
                 assert retry_at is not None
-                self._emit(
+                self.obs.journal.emit(
                     "tenant_deferred", time, tenant=tenant_id, seq=seq, app=app,
                     reason=decision.reason, retry_at=retry_at,
                 )
@@ -300,7 +295,7 @@ class TenantFrontEnd:
                 )
             else:
                 stats.shed += 1
-                self._emit(
+                self.obs.journal.emit(
                     "tenant_shed", time, tenant=tenant_id, seq=seq, app=app,
                     reason=decision.reason,
                 )
@@ -320,7 +315,7 @@ class TenantFrontEnd:
             for j in range(state.i, len(state.ordered)):
                 event = state.ordered[j]
                 stats.expired += 1
-                self._emit(
+                self.obs.journal.emit(
                     "tenant_shed", event.time, tenant=stats.tenant_id,
                     seq=-1, app=event.app, reason="horizon",
                 )
@@ -369,7 +364,7 @@ class TenantFrontEnd:
             except RetriesExhausted as exc:
                 runtime.stats.retries_exhausted += 1
                 service._orphan_paths.append(path)
-                self._emit(
+                self.obs.journal.emit(
                     "retries_exhausted", now, tenant=runtime.stats.tenant_id,
                     operation="storage_delete", path=path, attempts=exc.attempts,
                 )

@@ -56,34 +56,30 @@ class TenantGuard(ServiceGuard):
     def _on_transition(
         self, breaker: str, old: BreakerState, new: BreakerState, now: float
     ) -> None:
-        if self.obs.enabled:
-            self.obs.journal.emit(
-                "breaker_transition",
-                t=now,
-                tenant=self.tenant_id,
-                breaker=breaker,
-                old=old.value,
-                new=new.value,
-            )
-            metrics = self.obs.metrics
-            metrics.gauge(self._metric(f"breaker/{breaker}/state")).set(
-                STATE_CODES[new]
-            )
-            if new is BreakerState.OPEN:
-                metrics.counter(self._metric(f"breaker/{breaker}/trips")).inc()
+        self.obs.journal.emit(
+            "breaker_transition",
+            t=now,
+            tenant=self.tenant_id,
+            breaker=breaker,
+            old=old.value,
+            new=new.value,
+        )
+        metrics = self.obs.metrics
+        metrics.gauge(self._metric(f"breaker/{breaker}/state")).set(STATE_CODES[new])
+        if new is BreakerState.OPEN:
+            metrics.counter(self._metric(f"breaker/{breaker}/trips")).inc()
 
     def _note_degraded(self, mode: str, reason: str, now: float) -> None:
         self.degraded += 1
-        if self.obs.enabled:
-            self.obs.journal.emit(
-                "tenant_degraded",
-                t=now,
-                tenant=self.tenant_id,
-                mode=mode,
-                reason=reason,
-            )
-            self.obs.metrics.counter(self._metric("degraded")).inc()
-            self.obs.metrics.counter("tenancy/degraded").inc()
+        self.obs.journal.emit(
+            "tenant_degraded",
+            t=now,
+            tenant=self.tenant_id,
+            mode=mode,
+            reason=reason,
+        )
+        self.obs.metrics.counter(self._metric("degraded")).inc()
+        self.obs.metrics.counter("tenancy/degraded").inc()
 
     # ------------------------------------------------------------------
     # ServiceGuard surface

@@ -144,12 +144,14 @@ def test_live_tree_passes_flow_gate_with_baseline() -> None:
     assert kinds == [
         "build", "delete", "history", "kill", "slotfill", "watchdog_delete",
     ]
-    # Every service action resolved its generator and has a declaration
-    # the checker proved sound (inferred subset of declared).
+    # Every service action resolved its generator and its inferred
+    # footprint equals the declaration: equality (not just soundness)
+    # makes a refactor that hides a sink call from the analysis fail
+    # here instead of passing vacuously.
     for row in result.flow["actions"]:
         assert row["generator"] is not None, row
         assert row["declared"] is not None, row
-        assert set(row["inferred"]) <= set(row["declared"]), row
+        assert set(row["inferred"]) == set(row["declared"]), row
 
 
 def test_live_baseline_entries_are_all_justified() -> None:

@@ -13,7 +13,8 @@ from tests.golden import GOLDEN_DIR, regenerate, write_goldens
 def test_regeneration_is_a_noop_on_a_clean_tree():
     fresh = regenerate()
     assert set(fresh) == {
-        "default_runs.json", "roi_table.txt", "two_container_trace.json",
+        "default_runs.json", "hooked_runs.json", "roi_table.txt",
+        "two_container_trace.json",
     }
     for name, content in fresh.items():
         on_disk = (GOLDEN_DIR / name).read_text()
@@ -26,7 +27,8 @@ def test_regeneration_is_a_noop_on_a_clean_tree():
 def test_write_goldens_targets_the_requested_directory(tmp_path):
     written = write_goldens(tmp_path)
     assert sorted(p.name for p in written) == [
-        "default_runs.json", "roi_table.txt", "two_container_trace.json",
+        "default_runs.json", "hooked_runs.json", "roi_table.txt",
+        "two_container_trace.json",
     ]
     for path in written:
         assert path.parent == tmp_path

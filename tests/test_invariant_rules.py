@@ -136,7 +136,7 @@ def test_schedule_overlap_detects_double_booked_container(run, monitor):
         SimpleNamespace(container_id=1, start=5.0, end=15.0, op_name="op_b"),
     ]
     decision = SimpleNamespace(
-        interleaved=SimpleNamespace(
+        chosen=SimpleNamespace(
             schedule=SimpleNamespace(
                 dataflow_assignments=lambda: list(overlapping)
             )

@@ -79,11 +79,11 @@ def test_roi_ledger_emits_probe_and_roi_events() -> None:
     finals = [e for e in rois if e["t"] == final_t]
     names = [str(e["index"]) for e in finals]
     assert names == sorted(names)
-    assert service._ledger is not None
+    assert service._watchdog is not None
     for event in finals:
         name = str(event["index"])
         assert event["net_dollars"] == (
-            service._ledger.net_dollars(name, final_t)
+            service._watchdog.ledger.net_dollars(name, final_t)
         )
     # Probe dollars follow the quantum price: saved_s / 60 * 0.1.
     for event in probes:
