@@ -23,11 +23,13 @@ in ``tests/differential/oracle.py``):
 * each partial carries its money (lease quanta, exact integers) and its
   longest *closed* idle gap incrementally, so scoring a partial is O(1)
   in the number of assignments;
-* branches are previewed (scored without copying the partial's state)
-  and strictly dominated previews are pruned before materialisation.
-  Dropping a strictly dominated partial can never change the skyline:
-  it can neither enter the Pareto front nor win any equal-(time, money)
-  tie-break group.
+* each step selects before it materialises: every branch is previewed
+  (scored without copying the partial's state), the next skyline is
+  picked from the previews and the pass-through partials, and only the
+  at most ``max_skyline`` previews it keeps are copied into partials;
+* the idle-time tie-break is scored only for exact (time, money, #ops)
+  ties at the head of a group that enters the front, in O(1) per
+  preview from its parent's two largest lease-tail gaps.
 """
 
 from __future__ import annotations
@@ -84,7 +86,7 @@ class _Partial:
         )
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class _Preview:
     """The scored outcome of assigning one operator to one container,
     computed without copying the parent partial's dictionaries."""
@@ -154,26 +156,18 @@ class SkylineScheduler:
             op = dataflow.operators[op_name]
             duration = durations[op_name]
             edges = in_edges[op_name]
-            previews: list[_Preview] = []
-            passthrough: list[_Partial] = []
-            if op.optional:
-                passthrough.extend(skyline)  # keeping the op unscheduled is allowed
-            for partial in skyline:
-                for cid in self._candidate_containers(partial):
-                    previews.append(
-                        self._preview(partial, edges, duration, op, cid)
-                    )
+            previews = [
+                preview
+                for partial in skyline
+                for preview in self._previews(partial, edges, duration, op)
+            ]
+            # Keeping an optional op unscheduled is allowed.
+            passthrough = skyline if op.optional else []
             branched_total += len(previews) + len(passthrough)
-            survivors = _filter_strictly_dominated(
-                previews, passthrough, self.pricing.quantum_seconds
-            )
-            branched: list[_Partial] = []
-            for entry in survivors:
-                if isinstance(entry, _Preview):
-                    branched.append(self._materialize(entry, op))
-                else:
-                    branched.append(entry)
-            skyline = self._prune(branched)
+            skyline = [
+                self._materialize(entry, op) if isinstance(entry, _Preview) else entry
+                for entry in self._select(previews, passthrough)
+            ]
         if self.obs.enabled:
             self.obs.metrics.counter("scheduler/invocations").inc()
             self.obs.metrics.counter("scheduler/operators_placed").inc(len(order))
@@ -233,53 +227,52 @@ class SkylineScheduler:
             return used + [fresh]
         return used
 
-    def _preview(
-        self,
-        partial: _Partial,
-        edges: list[Edge],
-        duration: float,
-        op: Operator,
-        cid: int,
-    ) -> _Preview:
-        """Score assigning ``op`` to ``cid`` without copying any state."""
-        ready = 0.0
+    def _previews(
+        self, partial: _Partial, edges: list[Edge], duration: float, op: Operator
+    ) -> list[_Preview]:
+        """Score assigning ``op`` to each candidate container of
+        ``partial`` without copying any state."""
+        tq = self.pricing.quantum_seconds
+        # Each placed input: its container, and its arrival on that
+        # container and on any other.
+        inputs: list[tuple[int, float, float]] = []
         for edge in edges:
             src_end = partial.op_end.get(edge.src)
-            if src_end is None:
-                continue
-            arrival = src_end
-            if partial.op_container.get(edge.src) != cid:
-                arrival += edge.data_mb / self.container.net_bw_mb_s
-            ready = max(ready, arrival)
-        avail = partial.container_avail.get(cid)
-        start = max(ready, avail if avail is not None else 0.0)
-        end = start + duration
-        tq = self.pricing.quantum_seconds
-        if avail is None:
-            first = start
-            old_contrib = 0
-        else:
-            first = partial.container_first[cid]
-            start_q = math.floor(first / tq + 1e-9)
-            old_contrib = max(start_q + 1, math.ceil(avail / tq - 1e-9)) - start_q
-        start_q = math.floor(first / tq + 1e-9)
-        new_contrib = max(start_q + 1, math.ceil(end / tq - 1e-9)) - start_q
-        if avail is None:
-            # Head gap of a fresh lease: from the quantum boundary the
-            # lease starts on to the operator's start.
-            gap = start - math.floor(start / tq + 1e-9) * tq
-        else:
-            gap = start - avail
-        return _Preview(
-            parent=partial,
-            cid=cid,
-            start=start,
-            end=end,
-            time_end=partial.time_end if op.optional else max(partial.time_end, end),
-            money_quanta=partial.money_quanta + (new_contrib - old_contrib),
-            max_closed_gap=max(partial.max_closed_gap, gap),
-            num_ops=len(partial.assignments) + 1,
-        )
+            if src_end is not None:
+                remote = src_end + edge.data_mb / self.container.net_bw_mb_s
+                inputs.append((partial.op_container[edge.src], src_end, remote))
+        num_ops = len(partial.assignments) + 1
+        previews: list[_Preview] = []
+        for cid in self._candidate_containers(partial):
+            ready = 0.0
+            for src_cid, local, remote in inputs:
+                ready = max(ready, local if src_cid == cid else remote)
+            avail = partial.container_avail.get(cid)
+            if avail is None:
+                start = ready
+                start_q = math.floor(start / tq + 1e-9)
+                old_contrib = 0
+                # Head gap of a fresh lease: from the quantum boundary the
+                # lease starts on to the operator's start.
+                gap = start - start_q * tq
+            else:
+                start = max(ready, avail)
+                start_q = math.floor(partial.container_first[cid] / tq + 1e-9)
+                old_contrib = max(start_q + 1, math.ceil(avail / tq - 1e-9)) - start_q
+                gap = start - avail
+            end = start + duration
+            new_contrib = max(start_q + 1, math.ceil(end / tq - 1e-9)) - start_q
+            previews.append(_Preview(
+                parent=partial,
+                cid=cid,
+                start=start,
+                end=end,
+                time_end=partial.time_end if op.optional else max(partial.time_end, end),
+                money_quanta=partial.money_quanta + (new_contrib - old_contrib),
+                max_closed_gap=max(partial.max_closed_gap, gap),
+                num_ops=num_ops,
+            ))
+        return previews
 
     def _materialize(self, preview: _Preview, op: Operator) -> _Partial:
         """Commit a preview: copy the parent state and apply the move."""
@@ -299,63 +292,41 @@ class SkylineScheduler:
         out.max_closed_gap = preview.max_closed_gap
         return out
 
-    def _money_quanta(self, partial: _Partial) -> int:
-        """Reference money recompute (kept for tests and assertions);
-        the hot path reads the incrementally maintained value."""
-        tq = self.pricing.quantum_seconds
-        total = 0
-        for cid, first in partial.container_first.items():
-            start_q = math.floor(first / tq + 1e-9)
-            end_q = max(start_q + 1, math.ceil(partial.container_avail[cid] / tq - 1e-9))
-            total += end_q - start_q
-        return total
+    def _select(
+        self, previews: list[_Preview], passthrough: list[_Partial]
+    ) -> list[_Preview | _Partial]:
+        """Pareto skyline on (time, money) of one step, capped at ``max_skyline``.
 
-    def _max_sequential_idle(self, partial: _Partial) -> float:
-        """Longest contiguous idle period across containers (tie-break).
-
-        O(containers): the closed gaps are carried in the partial; only
-        each lease's tail gap (which still moves) is computed here. The
-        float arithmetic mirrors the reference walk over sorted
-        assignments term by term.
+        One stable sort of the entries — previews, then pass-through
+        partials — by (time, money, -#ops) puts the best candidate of
+        each equal-(time, money) group first. Only that candidate can
+        enter the front, and only while its money beats every earlier
+        point's. Exact (time, money, #ops) ties at the head of such a
+        group go to the most sequential idle, then to entry order.
         """
         tq = self.pricing.quantum_seconds
-        best = partial.max_closed_gap
-        for cid, avail in partial.container_avail.items():
-            lease_end = math.ceil(avail / tq - 1e-9) * tq
-            tail = lease_end - avail
-            if tail > best:
-                best = tail
-        return best
-
-    def _prune(self, partials: list[_Partial]) -> list[_Partial]:
-        """Pareto skyline on (time, money), capped at ``max_skyline``."""
-        if not partials:
-            return []
-        scored = []
-        for p in partials:
-            time_q = p.time_end / self.pricing.quantum_seconds
-            scored.append([time_q, p.money_quanta, -len(p.assignments), 0.0, p])
-        # The sequential-idle tie-break is only meaningful for candidates
-        # that actually tie on (time, money, #ops).
-        groups: dict[tuple[float, int, int], list[list]] = {}
-        for row in scored:
-            groups.setdefault((round(row[0], 9), row[1], row[2]), []).append(row)
-        for rows in groups.values():
-            if len(rows) > 1:
-                for row in rows:
-                    row[3] = -self._max_sequential_idle(row[4])
-        # Sort so the best candidate at equal (time, money) comes first:
-        # more operators, then more sequential idle.
-        scored.sort(key=lambda s: (s[0], s[1], s[2], s[3]))
-        front: list[tuple[float, int, _Partial]] = []
+        entries: list[_Preview | _Partial] = [*previews, *passthrough]
+        rows = [(p.time_end / tq, p.money_quanta, -p.num_ops, i) for i, p in enumerate(previews)]
+        rows += [
+            (p.time_end / tq, p.money_quanta, -len(p.assignments), i)
+            for i, p in enumerate(passthrough, start=len(previews))
+        ]
+        rows.sort()
+        front: list[_Preview | _Partial] = []
+        tails: dict[int, tuple[float, int, float]] = {}
         best_money = math.inf
-        seen: set[tuple[float, int]] = set()
-        for time_q, money_q, _neg_ops, _neg_idle, p in scored:
-            key = (round(time_q, 9), money_q)
-            if money_q < best_money and key not in seen:
-                front.append((time_q, money_q, p))
-                best_money = money_q
-                seen.add(key)
+        for k, row in enumerate(rows):
+            if row[1] >= best_money:
+                continue
+            best_money = row[1]
+            end = k + 1
+            while end < len(rows) and rows[end][:3] == row[:3]:
+                end += 1
+            pick = row[3]
+            if end - k > 1:
+                ties = [tie[3] for tie in rows[k:end]]
+                pick = max(ties, key=lambda i: self._idle(entries[i], tails))
+            front.append(entries[pick])
         if len(front) > self.max_skyline:
             if self.max_skyline == 1:
                 front = [front[0]]  # the fastest point
@@ -364,52 +335,41 @@ class SkylineScheduler:
                 step = (len(front) - 1) / (self.max_skyline - 1)
                 picked = {round(i * step) for i in range(self.max_skyline)}
                 front = [front[i] for i in sorted(picked)]
-        return [p for _, _, p in front]
+        return front
 
+    def _idle(
+        self, entry: _Preview | _Partial, tails: dict[int, tuple[float, int, float]]
+    ) -> float:
+        """Longest contiguous idle period across containers (tie-break).
 
-def _filter_strictly_dominated(
-    previews: list[_Preview],
-    passthrough: list[_Partial],
-    quantum_seconds: float,
-) -> list[_Preview | _Partial]:
-    """Drop candidates strictly dominated on (time, money).
+        The closed gaps are carried incrementally. Of the lease tails,
+        which still move, a preview changes only its own container's, so
+        its parent's two largest tails score it in O(1).
+        """
+        if isinstance(entry, _Preview):
+            first, first_cid, second = self._top_tails(entry.parent, tails)
+            others = second if entry.cid == first_cid else first
+            tq = self.pricing.quantum_seconds
+            tail = math.ceil(entry.end / tq - 1e-9) * tq - entry.end
+            return max(entry.max_closed_gap, others, tail)
+        return max(entry.max_closed_gap, self._top_tails(entry, tails)[0])
 
-    A candidate is dropped only when some other candidate has strictly
-    smaller time *and* strictly smaller money. Such a candidate can
-    never be selected by :meth:`SkylineScheduler._prune`: in the
-    (time, money)-sorted walk its dominator is visited first with
-    ``best_money`` at most the dominator's money, so the dominated
-    candidate always fails the ``money < best_money`` test — and
-    tie-break groups only ever contain candidates with *equal*
-    (time, money), which strict dominance excludes. Filtering is
-    therefore exact, and it saves materialising the partial-schedule
-    state for branches the prune step would discard anyway.
-    """
-    entries: list[tuple[float, int, _Preview | _Partial]] = []
-    for preview in previews:
-        entries.append((preview.time_end / quantum_seconds, preview.money_quanta, preview))
-    for partial in passthrough:
-        entries.append((partial.time_end / quantum_seconds, partial.money_quanta, partial))
-    if len(entries) <= 1:
-        return [e[2] for e in entries]
-    order = sorted(range(len(entries)), key=lambda i: (entries[i][0], entries[i][1]))
-    survivors: list[_Preview | _Partial] = []
-    # Walk in (time, money) order; a candidate is strictly dominated iff
-    # some candidate with strictly smaller time had strictly smaller
-    # money than it.
-    best_money_strictly_before = math.inf  # over times < current time
-    best_money_current_time = math.inf  # over times == current time
-    current_time: float | None = None
-    for i in order:
-        time_q, money_q, entry = entries[i]
-        if current_time is None or time_q > current_time:
-            best_money_strictly_before = min(
-                best_money_strictly_before, best_money_current_time
-            )
-            best_money_current_time = math.inf
-            current_time = time_q
-        if money_q > best_money_strictly_before:
-            continue  # strictly dominated
-        best_money_current_time = min(best_money_current_time, money_q)
-        survivors.append(entry)
-    return survivors
+    def _top_tails(
+        self, partial: _Partial, tails: dict[int, tuple[float, int, float]]
+    ) -> tuple[float, int, float]:
+        """The largest lease-tail gap, its container and the runner-up
+        (``-inf`` where there are too few containers), memoised in
+        ``tails`` by partial for one step."""
+        top = tails.get(id(partial))
+        if top is None:
+            tq = self.pricing.quantum_seconds
+            first = second = -math.inf
+            first_cid = -1
+            for cid, avail in partial.container_avail.items():
+                tail = math.ceil(avail / tq - 1e-9) * tq - avail
+                if tail > first:
+                    first, first_cid, second = tail, cid, first
+                elif tail > second:
+                    second = tail
+            top = tails[id(partial)] = (first, first_cid, second)
+        return top

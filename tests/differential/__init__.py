@@ -1,7 +1,7 @@
 """Differential-testing harness for the hot-path performance layer.
 
 Every optimisation in the performance layer (incremental gain sums,
-skyline dominance pruning + incremental objectives, knapsack solve
+skyline select-before-materialise + incremental objectives, knapsack solve
 memoisation) is paired here with a *naive oracle* — a frozen,
 obviously-correct reference implementation — and driven over randomised
 scenarios (Hypothesis). The optimised code must agree with the oracle:

@@ -1,29 +1,33 @@
 """Differential tests: optimised skyline scheduler vs the frozen oracle.
 
-The dominance prefilter, incremental money/idle objectives and cached
-topological orders are all *exact* optimisations — the optimised
-scheduler must produce assignment-identical schedules to the
-pre-optimisation oracle on every input, not merely an equivalent Pareto
-front. Random layered DAGs (with optional index-build operators, the
-online-interleaving case) exercise branching, tie-breaking and the
-skyline cap.
+Selecting each step's skyline before materialising it, incremental
+money/idle objectives and cached topological orders are all *exact*
+optimisations — the optimised scheduler must produce assignment-identical
+schedules to the pre-optimisation oracle on every input, not merely an
+equivalent Pareto front. Random layered DAGs (with optional index-build
+operators, the online-interleaving case) exercise branching,
+tie-breaking and the skyline cap; app dataflows carrying many builds
+exercise the large all-tie groups online interleaving produces.
 """
 
 from __future__ import annotations
 
 import numpy as np
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.cloud.pricing import PAPER_PRICING
+from repro.dataflow.client import build_workload
 from repro.dataflow.graph import Dataflow
 from repro.dataflow.operator import Operator
+from repro.scheduling import skyline
 from repro.scheduling.skyline import SkylineScheduler
 
 from tests.differential.oracle import OracleSkylineScheduler
 
 
 @st.composite
-def random_dags(draw):
+def random_dags(draw, max_optional=3):
     """Random layered DAGs, some operators optional (index builds)."""
     num_ops = draw(st.integers(min_value=2, max_value=14))
     runtimes = draw(
@@ -32,7 +36,7 @@ def random_dags(draw):
             min_size=num_ops, max_size=num_ops,
         )
     )
-    num_optional = draw(st.integers(min_value=0, max_value=3))
+    num_optional = draw(st.integers(min_value=0, max_value=max_optional))
     edge_seed = draw(st.integers(min_value=0, max_value=2**31 - 1))
     edge_prob = draw(st.sampled_from([0.0, 0.2, 0.45]))
     flow = Dataflow(name="diff")
@@ -98,6 +102,96 @@ def test_pareto_front_objectives_match_oracle(flow, max_skyline):
         assert got.makespan_quanta() == want.makespan_quanta()
         assert got.money_quanta() == want.money_quanta()
         assert got.fragmentation_quanta() == want.fragmentation_quanta()
+
+
+@given(
+    flow=random_dags(max_optional=12),
+    max_skyline=st.sampled_from([1, 2, 4, 8]),
+    max_containers=st.sampled_from([2, 3]),
+)
+@settings(max_examples=60, deadline=None, derandomize=True)
+def test_many_builds_on_few_containers_match_oracle(flow, max_skyline, max_containers):
+    """Many optional builds on two or three containers: equal lease
+    tails are common, so the idle tie-break often scores a preview that
+    moves the container with the largest tail against an equal
+    runner-up."""
+    oracle = OracleSkylineScheduler(
+        PAPER_PRICING, max_skyline=max_skyline, max_containers=max_containers
+    )
+    optimised = SkylineScheduler(
+        PAPER_PRICING, max_skyline=max_skyline, max_containers=max_containers
+    )
+    assert _fingerprint(optimised.schedule(flow)) == _fingerprint(oracle.schedule(flow))
+
+
+def _app_flow_with_builds(app: str) -> Dataflow:
+    """A 40-operator app dataflow carrying 24 optional builds: the shape
+    online interleaving hands the scheduler, at a size where all-tie
+    groups (equal time, money and #ops) grow large."""
+    flow = build_workload(PAPER_PRICING, seed=42, num_ops=40).next_dataflow(app, 0.0)
+    rng = np.random.default_rng(2020)
+    for k, runtime in enumerate(rng.uniform(5.0, 90.0, size=24)):
+        flow.add_operator(Operator(name=f"build{k}", runtime=float(runtime), optional=True))
+    return flow
+
+
+APPS = ["montage", "ligo", "cybershake"]
+
+
+@pytest.mark.parametrize("app", APPS)
+def test_app_flow_with_many_builds_matches_oracle(app):
+    flow = _app_flow_with_builds(app)
+    oracle = OracleSkylineScheduler(PAPER_PRICING, max_containers=100, max_skyline=8)
+    optimised = SkylineScheduler(PAPER_PRICING, max_containers=100, max_skyline=8)
+    assert _fingerprint(optimised.schedule(flow)) == _fingerprint(oracle.schedule(flow))
+
+
+@pytest.mark.parametrize("app", APPS)
+def test_materialises_at_most_max_skyline_partials_per_operator(app, monkeypatch):
+    """Each step copies only the partials it keeps: at most
+    ``max_skyline`` per operator scheduled, whatever the branching."""
+    flow = _app_flow_with_builds(app)
+    copies = 0
+    branch = skyline._Partial.branch
+
+    def counting_branch(partial):
+        nonlocal copies
+        copies += 1
+        return branch(partial)
+
+    monkeypatch.setattr(skyline._Partial, "branch", counting_branch)
+    SkylineScheduler(PAPER_PRICING, max_containers=100, max_skyline=8).schedule(flow)
+    assert 0 < copies <= 8 * len(flow.operators)
+
+
+@given(
+    moves=st.lists(
+        st.tuples(
+            st.integers(min_value=0, max_value=4),
+            st.sampled_from([20.0, 30.0, 45.0, 60.0, 90.0]),
+        ),
+        min_size=1,
+        max_size=14,
+    )
+)
+@settings(max_examples=100, deadline=None, derandomize=True)
+def test_idle_score_matches_oracle_walk(moves):
+    """The O(1) idle score of every preview and pass-through partial
+    equals the oracle's walk over the materialised assignments, not only
+    where it decides a tie. Runtimes on a 5 s grid make lease tails tie,
+    and the random placements move the container with the largest tail
+    as often as any other."""
+    scheduler = SkylineScheduler(PAPER_PRICING, max_containers=4)
+    oracle = OracleSkylineScheduler(PAPER_PRICING, max_containers=4)
+    partial = skyline._Partial()
+    for k, (pick, runtime) in enumerate(moves):
+        assert scheduler._idle(partial, {}) == oracle._max_sequential_idle(partial)
+        op = Operator(name=f"build{k}", runtime=runtime, optional=True)
+        previews = scheduler._previews(partial, [], runtime, op)
+        for preview in previews:
+            materialised = scheduler._materialize(preview, op)
+            assert scheduler._idle(preview, {}) == oracle._max_sequential_idle(materialised)
+        partial = scheduler._materialize(previews[pick % len(previews)], op)
 
 
 def test_topo_cache_reuse_does_not_change_schedules():
