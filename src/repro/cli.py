@@ -131,6 +131,33 @@ def _rep_path(path: str, repetition: int, repeats: int) -> str:
     return str(p.with_name(f"{p.stem}-rep{repetition}{p.suffix}"))
 
 
+def _write_artifacts(
+    args,
+    trace: str | None,
+    journal: str | None,
+    metrics: str | None,
+    rep: int = 0,
+    repeats: int = 1,
+) -> None:
+    """Write the obs artifacts the run flags ask for, then print the
+    roll-up when the run recorded observations."""
+    from pathlib import Path
+
+    for out, payload, what in (
+        (args.trace_out, trace,
+         "trace written to {} (load in ui.perfetto.dev or chrome://tracing)"),
+        (args.events_out, journal, "decision journal written to {}"),
+        (args.metrics_out, metrics, "metrics snapshot written to {}"),
+    ):
+        if out and payload is not None:
+            path = Path(_rep_path(out, rep, repeats))
+            path.parent.mkdir(parents=True, exist_ok=True)
+            path.write_text(payload)
+            print(what.format(path))
+    if metrics is not None:
+        _print_obs_summary(metrics, journal)
+
+
 def cmd_run(args) -> int:
     """Run one (or several) experiments, optionally across workers.
 
@@ -175,26 +202,13 @@ def cmd_run(args) -> int:
         for rep in range(repeats)
     ]
     results = run_tasks(tasks, workers=max(1, args.workers))
-    from pathlib import Path
-
     for rep, result in enumerate(results):
         label = strategy.value if repeats == 1 else f"{strategy.value}[rep{rep}]"
         _print_metrics(label, result.metrics)
-        for out, payload, what in (
-            (args.trace_out, result.trace_json,
-             "trace written to {} (load in ui.perfetto.dev or chrome://tracing)"),
-            (args.events_out, result.journal_jsonl,
-             "decision journal written to {}"),
-            (args.metrics_out, result.metrics_json,
-             "metrics snapshot written to {}"),
-        ):
-            if out and payload is not None:
-                path = Path(_rep_path(out, rep, repeats))
-                path.parent.mkdir(parents=True, exist_ok=True)
-                path.write_text(payload)
-                print(what.format(path))
-        if record_obs:
-            _print_obs_summary(result.metrics_json, result.journal_jsonl)
+        _write_artifacts(
+            args, result.trace_json, result.journal_jsonl, result.metrics_json,
+            rep, repeats,
+        )
     return 0
 
 
@@ -205,8 +219,6 @@ def _cmd_run_tenants(args) -> int:
     reaches this path (or the tenancy package), keeping single-tenant
     output byte-identical to builds without the front end.
     """
-    from pathlib import Path
-
     from repro.obs import Observation, trace_json
     from repro.recovery.invariants import InvariantError
     from repro.report import tenancy_table
@@ -237,24 +249,10 @@ def _cmd_run_tenants(args) -> int:
         _print_invariant_failure(exc)
         return 1
     print(tenancy_table(report))
-    journal_jsonl = obs.journal.to_jsonl() if obs is not None else None
-    metrics_json = obs.metrics.to_json() if obs is not None else None
-    schedule_json = trace_json(obs.tracer) if obs is not None else None
-    for out, payload, what in (
-        (args.trace_out, schedule_json,
-         "trace written to {} (load in ui.perfetto.dev or chrome://tracing)"),
-        (args.events_out, journal_jsonl,
-         "decision journal written to {}"),
-        (args.metrics_out, metrics_json,
-         "metrics snapshot written to {}"),
-    ):
-        if out and payload is not None:
-            path = Path(out)
-            path.parent.mkdir(parents=True, exist_ok=True)
-            path.write_text(payload)
-            print(what.format(path))
     if obs is not None:
-        _print_obs_summary(metrics_json, journal_jsonl)
+        _write_artifacts(
+            args, trace_json(obs.tracer), obs.journal.to_jsonl(), obs.metrics.to_json()
+        )
     return 0
 
 
@@ -266,32 +264,16 @@ def _cmd_resume(args) -> int:
     artifact files) is byte-identical to the uninterrupted run, which is
     the property the chaos sweep asserts.
     """
-    from pathlib import Path
-
     from repro import resume_run
     from repro.obs import trace_json
 
     metrics, service = resume_run(args.resume)
     _print_metrics(service.strategy.value, metrics)
-    obs = service.obs if service.obs.enabled else None
-    journal_jsonl = obs.journal.to_jsonl() if obs is not None else None
-    metrics_json = obs.metrics.to_json() if obs is not None else None
-    schedule_json = trace_json(obs.tracer) if obs is not None else None
-    for out, payload, what in (
-        (args.trace_out, schedule_json,
-         "trace written to {} (load in ui.perfetto.dev or chrome://tracing)"),
-        (args.events_out, journal_jsonl,
-         "decision journal written to {}"),
-        (args.metrics_out, metrics_json,
-         "metrics snapshot written to {}"),
-    ):
-        if out and payload is not None:
-            path = Path(out)
-            path.parent.mkdir(parents=True, exist_ok=True)
-            path.write_text(payload)
-            print(what.format(path))
-    if obs is not None:
-        _print_obs_summary(metrics_json, journal_jsonl)
+    obs = service.obs
+    if obs.enabled:
+        _write_artifacts(
+            args, trace_json(obs.tracer), obs.journal.to_jsonl(), obs.metrics.to_json()
+        )
     return 0
 
 

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import overload
 
 from repro.obs import MetricsRegistry
 
@@ -46,6 +47,29 @@ class IndexSnapshot:
 _INJECTED_PREFIX = "faults/injected/"
 
 
+class _FaultCounter:
+    """``metrics.x`` reads and writes the registry counter ``faults/x``."""
+
+    def __set_name__(self, owner: type, name: str) -> None:
+        self.key = f"faults/{name}"
+
+    @overload
+    def __get__(self, obj: None, objtype: type | None = None) -> _FaultCounter: ...
+
+    @overload
+    def __get__(self, obj: ServiceMetrics, objtype: type | None = None) -> int: ...
+
+    def __get__(
+        self, obj: ServiceMetrics | None, objtype: type | None = None
+    ) -> int | _FaultCounter:
+        if obj is None:
+            return self
+        return int(obj.registry.counter(self.key).value)
+
+    def __set__(self, obj: ServiceMetrics, total: int) -> None:
+        obj.registry.counter(self.key).set(total)
+
+
 @dataclass
 class ServiceMetrics:
     """Everything a service run reports.
@@ -73,12 +97,6 @@ class ServiceMetrics:
     # ------------------------------------------------------------------
     # Fault tolerance (robustness experiments): registry-backed views
     # ------------------------------------------------------------------
-    def _get(self, name: str) -> int:
-        return int(self.registry.counter(f"faults/{name}").value)
-
-    def _set(self, name: str, total: int) -> None:
-        self.registry.counter(f"faults/{name}").set(total)
-
     @property
     def faults_injected(self) -> dict[str, int]:
         return {
@@ -99,113 +117,23 @@ class ServiceMetrics:
         for kind, count in by_kind.items():
             self.registry.counter(f"{_INJECTED_PREFIX}{kind}").set(count)
 
-    @property
-    def operator_retries(self) -> int:
-        return self._get("operator_retries")
-
-    @operator_retries.setter
-    def operator_retries(self, total: int) -> None:
-        self._set("operator_retries", total)
-
-    @property
-    def operators_recovered(self) -> int:
-        return self._get("operators_recovered")
-
-    @operators_recovered.setter
-    def operators_recovered(self, total: int) -> None:
-        self._set("operators_recovered", total)
-
-    @property
-    def retries_exhausted(self) -> int:
-        return self._get("retries_exhausted")
-
-    @retries_exhausted.setter
-    def retries_exhausted(self, total: int) -> None:
-        self._set("retries_exhausted", total)
-
-    @property
-    def containers_crashed(self) -> int:
-        return self._get("containers_crashed")
-
-    @containers_crashed.setter
-    def containers_crashed(self, total: int) -> None:
-        self._set("containers_crashed", total)
-
-    @property
-    def stragglers(self) -> int:
-        return self._get("stragglers")
-
-    @stragglers.setter
-    def stragglers(self, total: int) -> None:
-        self._set("stragglers", total)
-
-    @property
-    def builds_failed(self) -> int:
-        return self._get("builds_failed")
-
-    @builds_failed.setter
-    def builds_failed(self, total: int) -> None:
-        self._set("builds_failed", total)
-
-    @property
-    def checkpoints_recorded(self) -> int:
-        return self._get("checkpoints_recorded")
-
-    @checkpoints_recorded.setter
-    def checkpoints_recorded(self, total: int) -> None:
-        self._set("checkpoints_recorded", total)
-
-    @property
-    def checkpoint_resumes(self) -> int:
-        return self._get("checkpoint_resumes")
-
-    @checkpoint_resumes.setter
-    def checkpoint_resumes(self, total: int) -> None:
-        self._set("checkpoint_resumes", total)
-
-    @property
-    def storage_put_failures(self) -> int:
-        return self._get("storage_put_failures")
-
-    @storage_put_failures.setter
-    def storage_put_failures(self, total: int) -> None:
-        self._set("storage_put_failures", total)
-
-    @property
-    def storage_delete_failures(self) -> int:
-        return self._get("storage_delete_failures")
-
-    @storage_delete_failures.setter
-    def storage_delete_failures(self, total: int) -> None:
-        self._set("storage_delete_failures", total)
-
-    @property
-    def degraded_builds(self) -> int:
-        return self._get("degraded_builds")
-
-    @degraded_builds.setter
-    def degraded_builds(self, total: int) -> None:
-        self._set("degraded_builds", total)
-
-    @property
-    def degraded_decisions(self) -> int:
-        """Dataflows decided in a degraded mode (deadline or breaker):
-        the tuner was skipped and the dataflow ran indexed/unindexed."""
-        return self._get("degraded_decisions")
-
-    @degraded_decisions.setter
-    def degraded_decisions(self, total: int) -> None:
-        self._set("degraded_decisions", total)
-
-    @property
-    def breaker_skipped_builds(self) -> int:
-        """Completed builds dropped because the tenant's build breaker
-        was open (the partition stays unbuilt and unbilled)."""
-        return self._get("breaker_skipped_builds")
-
-    @breaker_skipped_builds.setter
-    def breaker_skipped_builds(self, total: int) -> None:
-        self._set("breaker_skipped_builds", total)
+    operator_retries = _FaultCounter()
+    operators_recovered = _FaultCounter()
+    retries_exhausted = _FaultCounter()
+    containers_crashed = _FaultCounter()
+    stragglers = _FaultCounter()
+    builds_failed = _FaultCounter()
+    checkpoints_recorded = _FaultCounter()
+    checkpoint_resumes = _FaultCounter()
+    storage_put_failures = _FaultCounter()
+    storage_delete_failures = _FaultCounter()
+    degraded_builds = _FaultCounter()
+    # Dataflows decided in a degraded mode (deadline or breaker): the
+    # tuner was skipped and the dataflow ran indexed/unindexed.
+    degraded_decisions = _FaultCounter()
+    # Completed builds dropped because the tenant's build breaker was
+    # open (the partition stays unbuilt and unbilled).
+    breaker_skipped_builds = _FaultCounter()
 
     # ------------------------------------------------------------------
     # Aggregates (Figure 12 / 14)

@@ -7,19 +7,34 @@ from the estimates (estimation error); build-index operators (priority
 container or when the leased quantum expires — and a stopped build
 leaves its index partition unbuilt (it is re-queued with a later
 dataflow). Dataflow execution is therefore never delayed by builds.
+
+Every execution is one walk: the dataflow operators run in schedule
+order, then each container's builds fill its idle gaps, cut at quantum
+boundaries by :func:`~repro.scheduling.schedule.quantum_gaps`, the rule
+the planner's idle slots come from. Only the lease policy differs
+between the two entry points:
+
+* :meth:`ExecutionSimulator.execute` leases dedicated containers. Times
+  are schedule-relative; each lease runs from the quantum of its first
+  operator start to that of its last end; money is the lease integral.
+* :meth:`ExecutionSimulator.execute_pooled` maps the schedule's
+  containers onto a :class:`~repro.core.pool.ContainerPool`. Times are
+  absolute; cached inputs transfer for free; money is the quanta the
+  pool newly paid.
 """
 
 from __future__ import annotations
 
 import logging
+from collections.abc import Callable, Mapping
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, NamedTuple
 
 import numpy as np
 
 from repro.cloud.container import ContainerSpec, PAPER_CONTAINER
 from repro.cloud.pricing import PricingModel
-from repro.core.numeric import ceil_tol, floor_tol, gt_tol, is_zero, le_tol, lt_tol
+from repro.core.numeric import is_zero, le_tol
 from repro.faults.injector import FaultInjector, FaultKind
 from repro.faults.retry import RetryPolicy
 from repro.interleave.lp import InterleavedSchedule
@@ -27,11 +42,12 @@ from repro.interleave.slots import parse_build_op_name
 from repro.explore.hooks import note
 from repro.obs import NOOP_OBS, Observation
 from repro.recovery.hooks import crash_point
+from repro.scheduling.schedule import lease_quanta, quantum_gaps
 
 if TYPE_CHECKING:
     from repro.dataflow.graph import Dataflow
     from repro.core.pool import ContainerPool
-    from repro.scheduling.schedule import Assignment
+    from repro.scheduling.schedule import Assignment, Schedule
 
 logger = logging.getLogger(__name__)
 
@@ -111,8 +127,7 @@ class ExecutionResult:
         return len(self.builds_completed) + self.builds_killed + self.builds_failed
 
 
-@dataclass(frozen=True)
-class _Interval:
+class _Interval(NamedTuple):
     start: float
     end: float
 
@@ -200,159 +215,10 @@ class ExecutionSimulator:
         return elapsed, tally
 
     def execute(self, interleaved: InterleavedSchedule, start_time: float) -> ExecutionResult:
-        """Execute the schedule starting at ``start_time`` (absolute s)."""
-        crash_point("simulator.pre_execute")
-        note("sim.slot_fill")
-        schedule = interleaved.schedule
-        dataflow = schedule.dataflow
-        obs = self.obs
-        pid = self._exec_seq
-        self._exec_seq += 1
-        if obs.enabled:
-            obs.tracer.name_process(pid, dataflow.name)
+        """Execute the schedule on dedicated containers from ``start_time``
+        (absolute s)."""
+        return self._execute(interleaved, start_time, None)
 
-        # ---- Phase 1: dataflow operators with actual runtimes. --------
-        df_assignments = sorted(
-            schedule.dataflow_assignments(), key=lambda a: (a.start, a.end)
-        )
-        faults = _OpFaultTally()
-        makespan, money_quanta, leases, busy = self._dataflow_phase(
-            dataflow, df_assignments, faults, pid, start_time
-        )
-
-        # ---- Phase 2: build operators into the actual idle gaps. ------
-        builds_by_container: dict[int, list[Assignment]] = {}
-        for a in sorted(interleaved.build_assignments, key=lambda a: a.start):
-            builds_by_container.setdefault(a.container_id, []).append(a)
-
-        completed: list[CompletedBuild] = []
-        checkpoints: list[BuildCheckpoint] = []
-        killed = 0
-        unstarted = 0
-        failed = 0
-        for cid, build_list in builds_by_container.items():
-            lease = leases.get(cid)
-            if lease is None:
-                # The dataflow never actually used this container (can
-                # happen for empty dataflows); builds cannot run.
-                unstarted += len(build_list)
-                continue
-            done, ckpts, cut, lost, skipped = self._run_builds(
-                build_list, busy.get(cid, []), lease, pid=pid, tid=cid, offset=start_time
-            )
-            completed.extend(
-                CompletedBuild(
-                    index_name=b.index_name,
-                    partition_id=b.partition_id,
-                    finished_at=start_time + b.finished_at,
-                )
-                for b in done
-            )
-            checkpoints.extend(ckpts)
-            killed += cut
-            failed += lost
-            unstarted += skipped
-
-        # Each container crash forfeits the remainder of its quantum and
-        # re-leases: one extra quantum billed beyond the lease integral.
-        money_quanta += faults.crashes
-
-        if obs.enabled:
-            self._record_execution(makespan, money_quanta, completed, killed, failed, unstarted)
-
-        return ExecutionResult(
-            dataflow_name=dataflow.name,
-            start_time=start_time,
-            finish_time=start_time + makespan,
-            money_quanta=money_quanta,
-            dataflow_ops=len(df_assignments),
-            builds_completed=completed,
-            builds_killed=killed,
-            builds_unstarted=unstarted,
-            builds_failed=failed,
-            checkpoints=checkpoints,
-            operator_retries=faults.retries,
-            operators_recovered=faults.recovered,
-            retries_exhausted=faults.exhausted,
-            containers_crashed=faults.crashes,
-            stragglers=faults.stragglers,
-        )
-
-    def _dataflow_phase(
-        self,
-        dataflow: Dataflow,
-        df_assignments: list[Assignment],
-        faults: _OpFaultTally,
-        pid: int,
-        start_time: float,
-    ) -> tuple[float, int, dict[int, tuple[float, float]], dict[int, list[_Interval]]]:
-        """Phase 1 of :meth:`execute`: dataflow operators, then leases.
-
-        Walks ``df_assignments`` in the given (sorted) order with noisy
-        and, under faults, retried runtimes, accumulating fault counts
-        into ``faults``. Returns ``(makespan, money_quanta, leases,
-        busy)``, all relative to the execution start; the frozen oracle
-        in tests/differential/oracle.py transcribes this walk.
-        """
-        tq = self.pricing.quantum_seconds
-        obs = self.obs
-        avail: dict[int, float] = {}
-        op_end: dict[str, float] = {}
-        op_container: dict[str, int] = {}
-        busy: dict[int, list[_Interval]] = {}
-        for a in df_assignments:
-            ready = 0.0
-            for edge in dataflow.in_edges(a.op_name):
-                src_end = op_end.get(edge.src)
-                if src_end is None:
-                    continue
-                arrival = src_end
-                if op_container.get(edge.src) != a.container_id:
-                    arrival += edge.data_mb / self.container.net_bw_mb_s
-                ready = max(ready, arrival)
-            start = max(ready, avail.get(a.container_id, 0.0))
-            duration = a.duration * self._noise()
-            if self.injector.active:
-                duration, tally = self._operator_elapsed(duration)
-                faults.merge(tally)
-            end = start + duration
-            avail[a.container_id] = end
-            op_end[a.op_name] = end
-            op_container[a.op_name] = a.container_id
-            busy.setdefault(a.container_id, []).append(_Interval(start, end))
-            if obs.enabled:
-                obs.tracer.name_thread(
-                    pid, a.container_id, f"container {a.container_id}"
-                )
-                obs.tracer.span(
-                    a.op_name,
-                    "operator",
-                    pid,
-                    a.container_id,
-                    start_time + start,
-                    start_time + end,
-                )
-
-        if busy:
-            makespan = max(iv.end for ivs in busy.values() for iv in ivs)
-        else:
-            makespan = 0.0
-
-        # Leases: floor(first)..ceil(last) per container (relative).
-        leases: dict[int, tuple[float, float]] = {}
-        money_quanta = 0
-        for cid, intervals in busy.items():
-            first = min(iv.start for iv in intervals)
-            last = max(iv.end for iv in intervals)
-            lease_start = floor_tol(first / tq) * tq
-            lease_end = max(lease_start + tq, ceil_tol(last / tq) * tq)
-            leases[cid] = (lease_start, lease_end)
-            money_quanta += int(round((lease_end - lease_start) / tq))
-        return makespan, money_quanta, leases, busy
-
-    # ------------------------------------------------------------------
-    # Pooled, cache-aware execution (Section 6.1's container reuse)
-    # ------------------------------------------------------------------
     def execute_pooled(
         self, interleaved: InterleavedSchedule, start_time: float, pool: ContainerPool
     ) -> ExecutionResult:
@@ -367,47 +233,136 @@ class ExecutionSimulator:
         * money is the *marginal* quanta this execution added to the
           pool's leases.
         """
+        return self._execute(interleaved, start_time, pool)
+
+    def _execute(
+        self,
+        interleaved: InterleavedSchedule,
+        start_time: float,
+        pool: ContainerPool | None,
+    ) -> ExecutionResult:
+        """The operator walk under the dedicated (no ``pool``) or pooled
+        lease policy, then the builds in each leased container's gaps."""
         crash_point("simulator.pre_execute")
         note("sim.slot_fill")
         schedule = interleaved.schedule
         dataflow = schedule.dataflow
-        paid_before = pool.stats.quanta_paid
         obs = self.obs
         pid = self._exec_seq
         self._exec_seq += 1
         if obs.enabled:
             obs.tracer.name_process(pid, dataflow.name)
 
-        sched_cids = sorted({a.container_id for a in schedule.assignments})
-        pooled = pool.acquire(max(1, len(sched_cids)), start_time)
-        mapping = {cid: pooled[i] for i, cid in enumerate(sched_cids)}
-
         df_assignments = sorted(
             schedule.dataflow_assignments(), key=lambda a: (a.start, a.end)
         )
         faults = _OpFaultTally()
-        avail: dict[int, float] = {}
-        op_end: dict[str, float] = {}
-        op_container: dict[str, int] = {}
-        busy: dict[int, list[_Interval]] = {}
-        for a in df_assignments:
+        if pool is None:
+            offset = start_time
+            makespan, money_quanta, leases, busy = self._dataflow_phase(
+                dataflow, df_assignments, faults, pid, start_time
+            )
+        else:
+            offset = 0.0
+            makespan, money_quanta, leases, busy = self._pooled_phase(
+                schedule, df_assignments, faults, pid, start_time, pool
+            )
+        result = ExecutionResult(
+            dataflow_name=dataflow.name,
+            start_time=start_time,
+            finish_time=start_time + makespan,
+            # Each container crash forfeits the remainder of its quantum
+            # and re-leases: one extra quantum billed beyond the lease.
+            money_quanta=money_quanta + faults.crashes,
+            dataflow_ops=len(df_assignments),
+            operator_retries=faults.retries,
+            operators_recovered=faults.recovered,
+            retries_exhausted=faults.exhausted,
+            containers_crashed=faults.crashes,
+            stragglers=faults.stragglers,
+        )
+
+        builds_by_container: dict[int, list[Assignment]] = {}
+        for a in sorted(interleaved.build_assignments, key=lambda a: a.start):
+            builds_by_container.setdefault(a.container_id, []).append(a)
+        for cid, build_list in builds_by_container.items():
+            lease = leases.get(cid)
+            if lease is None:
+                # The dataflow never used this container (e.g. an empty
+                # dataflow), so nothing leased it: its builds cannot run.
+                result.builds_unstarted += len(build_list)
+                continue
+            self._run_builds(build_list, busy.get(cid, []), lease, result, pid, cid, offset)
+
+        if obs.enabled:
+            self._record_execution(result, makespan)
+        return result
+
+    def _dataflow_phase(
+        self,
+        dataflow: Dataflow,
+        df_assignments: list[Assignment],
+        faults: _OpFaultTally,
+        pid: int,
+        start_time: float,
+    ) -> tuple[float, int, dict[int, tuple[float, float]], dict[int, list[_Interval]]]:
+        """The dedicated lease policy's walk, in schedule-relative time.
+
+        Each operator runs for its noisy and, under faults, retried
+        runtime, accumulating fault counts into ``faults``. Returns
+        ``(makespan, money_quanta, leases, busy)``, all relative to the
+        execution start; the frozen oracle in
+        tests/differential/oracle.py transcribes this walk.
+        """
+
+        def run(a: Assignment, start: float) -> float:
+            duration = a.duration * self._noise()
+            if self.injector.active:
+                duration, tally = self._operator_elapsed(duration)
+                faults.merge(tally)
+            return start + duration
+
+        makespan, busy = self._walk(dataflow, df_assignments, run, pid, 0.0, start_time, {})
+        tq = self.pricing.quantum_seconds
+        leases: dict[int, tuple[float, float]] = {}
+        money_quanta = 0
+        for cid, intervals in busy.items():
+            first, last = lease_quanta(
+                min(iv.start for iv in intervals), max(iv.end for iv in intervals), tq
+            )
+            leases[cid] = (first * tq, last * tq)
+            money_quanta += last - first
+        return makespan, money_quanta, leases, busy
+
+    def _pooled_phase(
+        self,
+        schedule: Schedule,
+        df_assignments: list[Assignment],
+        faults: _OpFaultTally,
+        pid: int,
+        start_time: float,
+        pool: ContainerPool,
+    ) -> tuple[float, int, dict[int, tuple[float, float]], dict[int, list[_Interval]]]:
+        """The pooled lease policy's walk, in absolute time.
+
+        Returns what :meth:`_dataflow_phase` returns. A container's lease
+        runs from ``start_time`` to the end of its paid pool lease, and
+        the money is the quanta the pool newly paid.
+        """
+        dataflow = schedule.dataflow
+        paid_before = pool.stats.quanta_paid
+        sched_cids = sorted({a.container_id for a in schedule.assignments})
+        mapping = dict(zip(sched_cids, pool.acquire(max(1, len(sched_cids)), start_time)))
+        net_bw = self.container.net_bw_mb_s
+
+        def run(a: Assignment, start: float) -> float:
             op = dataflow.operators[a.op_name]
             container = mapping[a.container_id]
-            ready = start_time
-            for edge in dataflow.in_edges(a.op_name):
-                src_end = op_end.get(edge.src)
-                if src_end is None:
-                    continue
-                arrival = src_end
-                if op_container.get(edge.src) != a.container_id:
-                    arrival += edge.data_mb / self.container.net_bw_mb_s
-                ready = max(ready, arrival)
-            start = max(ready, avail.get(a.container_id, start_time))
             transfer = 0.0
             for data_file in op.inputs:
                 if container.cache.access(data_file.name):
                     continue  # cache hit: transfer is 0 (Section 6.1)
-                transfer += data_file.size_mb / self.container.net_bw_mb_s
+                transfer += data_file.size_mb / net_bw
                 container.cache.put(data_file.name, data_file.size_mb)
                 container.cache.stats.bytes_read_remote += data_file.size_mb
             runtime = op.runtime * self._noise()
@@ -422,263 +377,164 @@ class ExecutionSimulator:
             else:
                 end = start + runtime + transfer
             pool.occupy(container, start, end)
+            return end
+
+        names = {cid: container.container_id for cid, container in mapping.items()}
+        makespan, busy = self._walk(dataflow, df_assignments, run, pid, start_time, 0.0, names)
+        leases = {cid: (start_time, container.lease_end) for cid, container in mapping.items()}
+        return makespan, pool.stats.quanta_paid - paid_before, leases, busy
+
+    def _walk(
+        self,
+        dataflow: Dataflow,
+        df_assignments: list[Assignment],
+        run: Callable[[Assignment, float], float],
+        pid: int,
+        origin: float,
+        offset: float,
+        names: Mapping[int, int],
+    ) -> tuple[float, dict[int, list[_Interval]]]:
+        """The operator walk both lease policies share.
+
+        Operators run in the given (sorted) order. Each starts no earlier
+        than ``origin``, once its container is free and its inputs have
+        arrived (a cross-container edge pays the transfer); ``run(a,
+        start)`` executes it and returns its end. Returns the makespan
+        and each container's busy intervals. ``offset`` shifts the trace
+        onto the absolute clock; ``names`` maps a schedule container to
+        the id it is shown under, where the two differ.
+        """
+        obs = self.obs
+        net_bw = self.container.net_bw_mb_s
+        avail: dict[int, float] = {}
+        op_end: dict[str, float] = {}
+        op_container: dict[str, int] = {}
+        busy: dict[int, list[_Interval]] = {}
+        for a in df_assignments:
+            ready = origin
+            for edge in dataflow.in_edges(a.op_name):
+                src_end = op_end.get(edge.src)
+                if src_end is None:
+                    continue
+                arrival = src_end
+                if op_container.get(edge.src) != a.container_id:
+                    arrival += edge.data_mb / net_bw
+                ready = max(ready, arrival)
+            start = max(ready, avail.get(a.container_id, origin))
+            end = run(a, start)
             avail[a.container_id] = end
             op_end[a.op_name] = end
             op_container[a.op_name] = a.container_id
             busy.setdefault(a.container_id, []).append(_Interval(start, end))
             if obs.enabled:
-                obs.tracer.name_thread(
-                    pid, a.container_id, f"container {container.container_id}"
-                )
                 obs.tracer.span(
-                    a.op_name, "operator", pid, a.container_id, start, end
+                    a.op_name, "operator", pid, a.container_id, offset + start, offset + end
                 )
-
-        if busy:
-            makespan = max(iv.end for ivs in busy.values() for iv in ivs) - start_time
-        else:
-            makespan = 0.0
-
-        # Builds run in the actual gaps up to each container's paid lease.
-        completed: list[CompletedBuild] = []
-        checkpoints: list[BuildCheckpoint] = []
-        killed = 0
-        unstarted = 0
-        failed = 0
-        builds_by_container: dict[int, list[Assignment]] = {}
-        for a in sorted(interleaved.build_assignments, key=lambda a: a.start):
-            builds_by_container.setdefault(a.container_id, []).append(a)
-        for cid, build_list in builds_by_container.items():
-            container = mapping.get(cid)
-            if container is None:
-                unstarted += len(build_list)
-                continue
-            intervals = busy.get(cid, [])
-            lease = (start_time, container.lease_end)
-            done, ckpts, cut, lost, skipped = self._run_builds(
-                build_list, intervals, lease, pid=pid, tid=cid, offset=0.0
-            )
-            completed.extend(done)
-            checkpoints.extend(ckpts)
-            killed += cut
-            failed += lost
-            unstarted += skipped
-
-        money = pool.stats.quanta_paid - paid_before + faults.crashes
         if obs.enabled:
-            self._record_execution(makespan, money, completed, killed, failed, unstarted)
-        return ExecutionResult(
-            dataflow_name=dataflow.name,
-            start_time=start_time,
-            finish_time=start_time + makespan,
-            money_quanta=money,
-            dataflow_ops=len(df_assignments),
-            builds_completed=completed,
-            builds_killed=killed,
-            builds_unstarted=unstarted,
-            builds_failed=failed,
-            checkpoints=checkpoints,
-            operator_retries=faults.retries,
-            operators_recovered=faults.recovered,
-            retries_exhausted=faults.exhausted,
-            containers_crashed=faults.crashes,
-            stragglers=faults.stragglers,
-        )
+            for cid in busy:
+                obs.tracer.name_thread(pid, cid, f"container {names.get(cid, cid)}")
+        makespan = max((iv.end for ivs in busy.values() for iv in ivs), default=origin) - origin
+        return makespan, busy
 
-    def _record_execution(
-        self,
-        makespan: float,
-        money_quanta: int,
-        completed: list[CompletedBuild],
-        killed: int,
-        failed: int,
-        unstarted: int,
-    ) -> None:
+    def _record_execution(self, result: ExecutionResult, makespan: float) -> None:
         """Fold one execution's outcome into the metrics registry."""
         m = self.obs.metrics
         m.counter("sim/executions").inc()
-        m.counter("sim/money_quanta").inc(money_quanta)
-        m.counter("sim/builds_completed").inc(len(completed))
-        m.counter("sim/builds_killed").inc(killed)
-        m.counter("sim/builds_failed").inc(failed)
-        m.counter("sim/builds_unstarted").inc(unstarted)
+        m.counter("sim/money_quanta").inc(result.money_quanta)
+        m.counter("sim/builds_completed").inc(len(result.builds_completed))
+        m.counter("sim/builds_killed").inc(result.builds_killed)
+        m.counter("sim/builds_failed").inc(result.builds_failed)
+        m.counter("sim/builds_unstarted").inc(result.builds_unstarted)
         m.histogram("sim/makespan_s").observe(makespan)
 
     def _run_builds(
         self,
         build_list: list[Assignment],
-        intervals: list[_Interval],
+        busy: list[_Interval],
         lease: tuple[float, float],
-        *,
-        pid: int = 0,
-        tid: int = 0,
-        offset: float = 0.0,
-    ) -> tuple[list[CompletedBuild], list[BuildCheckpoint], int, int, int]:
-        """FIFO-fill builds into one container's actual gaps.
+        result: ExecutionResult,
+        pid: int,
+        tid: int,
+        offset: float,
+    ) -> None:
+        """FIFO-fill builds into one container's actual idle gaps.
 
-        Completed builds carry finish times in the same frame (relative
-        or absolute) as ``intervals``/``lease``. A build cut off by a
-        dataflow operator or the quantum expiry counts as killed; one
-        that fails transiently mid-run counts as failed (never retried
-        inline — its partition re-enters the candidate pool). Either
-        way, with checkpointing enabled the work completed up to the
-        last checkpoint boundary survives as a :class:`BuildCheckpoint`.
-
-        ``pid``/``tid``/``offset`` locate the emitted trace slices:
-        ``offset`` shifts this container's (possibly schedule-relative)
-        times onto the absolute simulation clock.
+        A build that fits its gap completes. One cut off by a dataflow
+        operator or the quantum expiry counts as killed; one that fails
+        transiently mid-run counts as failed (never retried inline — its
+        partition re-enters the candidate pool). Either way, with
+        checkpointing enabled the work completed up to the last
+        checkpoint boundary survives as a :class:`BuildCheckpoint`.
+        Outcomes accumulate into ``result``. ``busy`` and ``lease`` are in
+        the walk's frame; ``offset`` shifts them onto the absolute clock,
+        and ``pid``/``tid`` locate the emitted trace slices.
         """
-        completed: list[CompletedBuild] = []
-        checkpoints: list[BuildCheckpoint] = []
-        killed = 0
-        unstarted = 0
-        failed = 0
         injector = self.injector
-        faults_active = injector.active
         ckpt_interval = injector.profile.checkpoint_interval_s
         obs = self.obs
-        gaps = self._actual_gaps(intervals, lease)
+        gaps = quantum_gaps(busy, lease[0], lease[1], self.pricing.quantum_seconds)
         if obs.enabled:
-            for gap in gaps:
+            for gap_start, gap_end in gaps:
                 obs.tracer.instant(
                     "idle_slot",
                     "slot",
                     pid,
                     tid,
-                    offset + gap.start,
-                    args={"duration_s": gap.end - gap.start},
+                    offset + gap_start,
+                    args={"duration_s": gap_end - gap_start},
                 )
         gap_idx = 0
-        cursor = gaps[0].start if gaps else None
+        cursor = gaps[0][0] if gaps else 0.0
         for a in build_list:
             parsed = parse_build_op_name(a.op_name)
             duration = a.duration * self._noise()
-            placed = False
-            while gap_idx < len(gaps):
-                gap = gaps[gap_idx]
-                if cursor is None or cursor < gap.start:
-                    cursor = gap.start
-                remaining = gap.end - cursor
-                if le_tol(remaining, 0.0):
-                    gap_idx += 1
-                    cursor = None
-                    continue
-                if le_tol(duration, remaining):
-                    if faults_active and injector.build_fails():
-                        spent = duration * injector.failure_point()
-                        failed += 1
-                        if obs.enabled:
-                            obs.tracer.span(
-                                a.op_name,
-                                "build",
-                                pid,
-                                tid,
-                                offset + cursor,
-                                offset + cursor + spent,
-                                args={"outcome": "failed"},
-                            )
-                            obs.journal.emit(
-                                "build_fail",
-                                t=offset + cursor + spent,
-                                op=a.op_name,
-                                index=parsed[0] if parsed else None,
-                                partition=parsed[1] if parsed else None,
-                                spent_s=spent,
-                            )
-                        cursor = cursor + spent
-                        placed = True
-                        if parsed is not None and ckpt_interval > 0:
-                            durable = injector.checkpointed(spent)
-                            if durable > 0:
-                                checkpoints.append(
-                                    BuildCheckpoint(parsed[0], parsed[1], durable)
-                                )
-                        logger.debug("build %s failed transiently", a.op_name)
-                        break
-                    finish = cursor + duration
-                    if parsed is not None:
-                        completed.append(
-                            CompletedBuild(
-                                index_name=parsed[0],
-                                partition_id=parsed[1],
-                                finished_at=finish,
-                            )
-                        )
-                    if obs.enabled:
-                        obs.tracer.span(
-                            a.op_name,
-                            "build",
-                            pid,
-                            tid,
-                            offset + cursor,
-                            offset + finish,
-                            args={"outcome": "completed"},
-                        )
-                    cursor = finish
-                    placed = True
-                else:
-                    # Started but cut off by the next dataflow operator
-                    # or the quantum expiry.
-                    note("sim.preempt_kill")
-                    killed += 1
-                    if obs.enabled:
-                        obs.tracer.span(
-                            a.op_name,
-                            "build",
-                            pid,
-                            tid,
-                            offset + cursor,
-                            offset + gap.end,
-                            args={"outcome": "killed"},
-                        )
-                        obs.journal.emit(
-                            "build_kill",
-                            t=offset + gap.end,
-                            op=a.op_name,
-                            index=parsed[0] if parsed else None,
-                            partition=parsed[1] if parsed else None,
-                            ran_s=remaining,
-                            needed_s=duration,
-                        )
-                    if parsed is not None and ckpt_interval > 0:
-                        durable = injector.checkpointed(remaining)
-                        if durable > 0:
-                            checkpoints.append(
-                                BuildCheckpoint(parsed[0], parsed[1], durable)
-                            )
-                    gap_idx += 1
-                    cursor = None
-                    placed = True
-                break
-            if not placed:
-                unstarted += 1
-        return completed, checkpoints, killed, failed, unstarted
-
-    def _actual_gaps(self, intervals: list[_Interval], lease: tuple[float, float]) -> list[_Interval]:
-        """Idle periods of one container, split at quantum boundaries.
-
-        Build operators are stopped when a dataflow operator arrives *or
-        the current time quantum expires* (Section 6.1), so a build can
-        never run across a quantum boundary: each idle period is cut at
-        the boundaries of the billing grid. The LP interleaver's slots
-        respect the same boundaries, so its builds fit; blindly placed
-        builds (the random baseline) straddle boundaries and get killed.
-        """
-        tq = self.pricing.quantum_seconds
-        lease_start, lease_end = lease
-        raw: list[tuple[float, float]] = []
-        cursor = lease_start
-        for iv in sorted(intervals, key=lambda iv: iv.start):
-            if gt_tol(iv.start, cursor):
-                raw.append((cursor, iv.start))
-            cursor = max(cursor, iv.end)
-        if lt_tol(cursor, lease_end):
-            raw.append((cursor, lease_end))
-        gaps: list[_Interval] = []
-        for g_start, g_end in raw:
-            piece = g_start
-            while lt_tol(piece, g_end):
-                boundary = floor_tol(piece / tq) * tq + tq
-                gaps.append(_Interval(piece, min(boundary, g_end)))
-                piece = min(boundary, g_end)
-        return gaps
+            # Move past the gaps earlier builds used up (up to rounding).
+            while gap_idx < len(gaps) and le_tol(gaps[gap_idx][1] - cursor, 0.0):
+                gap_idx += 1
+                if gap_idx < len(gaps):
+                    cursor = gaps[gap_idx][0]
+            if gap_idx == len(gaps):
+                result.builds_unstarted += 1
+                continue
+            gap_end = gaps[gap_idx][1]
+            remaining = gap_end - cursor
+            start = offset + cursor
+            event: str | None
+            detail: dict[str, float]
+            if not le_tol(duration, remaining):
+                # Cut off by the next dataflow operator or the quantum expiry.
+                note("sim.preempt_kill")
+                result.builds_killed += 1
+                outcome, event, end, work = "killed", "build_kill", offset + gap_end, remaining
+                detail = {"ran_s": remaining, "needed_s": duration}
+                cursor = gap_end
+            elif injector.active and injector.build_fails():
+                spent = duration * injector.failure_point()
+                result.builds_failed += 1
+                outcome, event, end, work = "failed", "build_fail", start + spent, spent
+                detail = {"spent_s": spent}
+                cursor += spent
+                logger.debug("build %s failed transiently", a.op_name)
+            else:
+                cursor += duration
+                outcome, event, end, work = "completed", None, offset + cursor, duration
+                detail = {}
+                if parsed is not None:
+                    result.builds_completed.append(CompletedBuild(parsed[0], parsed[1], end))
+            if obs.enabled:
+                obs.tracer.span(
+                    a.op_name, "build", pid, tid, start, end, args={"outcome": outcome}
+                )
+                if event is not None:
+                    obs.journal.emit(
+                        event,
+                        t=end,
+                        op=a.op_name,
+                        index=parsed[0] if parsed else None,
+                        partition=parsed[1] if parsed else None,
+                        **detail,
+                    )
+            if event is not None and parsed is not None and ckpt_interval > 0:
+                durable = injector.checkpointed(work)
+                if durable > 0:
+                    result.checkpoints.append(BuildCheckpoint(parsed[0], parsed[1], durable))

@@ -63,10 +63,9 @@ def parse_build_op_name(name: str) -> tuple[str, int] | None:
     return index_name, int(part)
 
 
-def slots_by_size(schedule: Schedule, merge_quanta: bool = False) -> list[IdleSlot]:
+def slots_by_size(schedule: Schedule) -> list[IdleSlot]:
     """Idle slots of a schedule in decreasing size order (Algorithm 2)."""
-    slots = schedule.idle_slots(merge_quanta=merge_quanta)
-    return sorted(slots, key=lambda s: s.duration, reverse=True)
+    return sorted(schedule.idle_slots(), key=lambda s: s.duration, reverse=True)
 
 
 def slot_fill_payloads(

@@ -22,7 +22,7 @@ from repro.cloud.pricing import PricingModel
 from repro.cloud.vmtypes import VMType, default_vm_catalog
 from repro.dataflow.graph import Dataflow
 from repro.dataflow.operator import Operator
-from repro.scheduling.schedule import Assignment
+from repro.scheduling.schedule import Assignment, lease_quanta
 
 
 @dataclass
@@ -46,9 +46,9 @@ class HeteroSchedule:
         items = [a for a in self.assignments if a.container_id == container_id]
         if not items:
             raise KeyError(f"container {container_id} is unused")
-        tq = self.pricing.quantum_seconds
-        first = math.floor(min(a.start for a in items) / tq + 1e-9)
-        last = max(first + 1, math.ceil(max(a.end for a in items) / tq - 1e-9))
+        first, last = lease_quanta(
+            min(a.start for a in items), max(a.end for a in items), self.pricing.quantum_seconds
+        )
         return last - first
 
     def money_dollars(self) -> float:
@@ -173,8 +173,7 @@ class HeterogeneousSkylineScheduler:
         tq = self.pricing.quantum_seconds
         total = 0.0
         for cid, first in partial.container_first.items():
-            start_q = math.floor(first / tq + 1e-9)
-            end_q = max(start_q + 1, math.ceil(partial.container_avail[cid] / tq - 1e-9))
+            start_q, end_q = lease_quanta(first, partial.container_avail[cid], tq)
             total += (end_q - start_q) * self.vm_types[partial.container_type[cid]].price_per_quantum
         return total
 

@@ -10,10 +10,11 @@ slots (Section 3, "Dataflow and Index Management").
 
 from __future__ import annotations
 
-import math
+from collections.abc import Iterable
 from dataclasses import dataclass, field, replace
 
 from repro.cloud.pricing import PricingModel
+from repro.core.numeric import ceil_tol, floor_tol, gt_tol, lt_tol
 from repro.dataflow.graph import Dataflow
 
 
@@ -56,6 +57,46 @@ class IdleSlot:
 
 class InfeasibleScheduleError(ValueError):
     """The schedule violates overlap or dependency constraints."""
+
+
+def lease_quanta(first_start: float, last_end: float, tq: float) -> tuple[int, int]:
+    """(first, last+1) quantum indices leased for work in [first_start, last_end].
+
+    A container is leased from the quantum its first operator starts in
+    to the quantum its last operator ends in, and for at least one
+    quantum.
+    """
+    first = floor_tol(first_start / tq)
+    return first, max(first + 1, ceil_tol(last_end / tq))
+
+
+def quantum_gaps(
+    busy: Iterable[tuple[float, float]], lease_start: float, lease_end: float, tq: float
+) -> list[tuple[float, float]]:
+    """Idle pieces of one container's lease, split at quantum boundaries.
+
+    ``busy`` holds the container's (start, end) intervals, in any order;
+    parts outside the lease are ignored. A build operator is stopped when
+    the quantum it runs in expires (Section 6.1), so each idle period is
+    cut at every multiple of ``tq``: planner slots and executed gaps both
+    come from here.
+    """
+    idle: list[tuple[float, float]] = []
+    cursor = lease_start
+    for start, end in sorted(busy):
+        if start >= lease_end:
+            break
+        if gt_tol(start, cursor):
+            idle.append((cursor, start))
+        cursor = max(cursor, end)
+    idle.append((cursor, lease_end))
+    pieces: list[tuple[float, float]] = []
+    for piece, end in idle:
+        while lt_tol(piece, end):
+            boundary = min(floor_tol(piece / tq) * tq + tq, end)
+            pieces.append((piece, boundary))
+            piece = boundary
+    return pieces
 
 
 @dataclass
@@ -126,11 +167,9 @@ class Schedule:
             items = [a for a in self.assignments if a.container_id == container_id]
         if not items:
             raise KeyError(f"container {container_id} is unused")
-        tq = self.pricing.quantum_seconds
-        first = math.floor(min(a.start for a in items) / tq + 1e-9)
-        last_end = max(a.end for a in items)
-        last = max(first + 1, math.ceil(last_end / tq - 1e-9))
-        return first, last
+        return lease_quanta(
+            min(a.start for a in items), max(a.end for a in items), self.pricing.quantum_seconds
+        )
 
     def money_quanta(self) -> int:
         """``md``: total leased quanta over all containers."""
@@ -146,57 +185,20 @@ class Schedule:
     # ------------------------------------------------------------------
     # Idle slots / fragmentation
     # ------------------------------------------------------------------
-    def idle_slots(self, merge_quanta: bool = False) -> list[IdleSlot]:
-        """All idle slots in the leased quanta of all containers.
-
-        With ``merge_quanta`` idle periods spanning adjacent quanta are
-        returned as single slots (useful to compute packing upper
-        bounds); the default follows the paper's per-quantum definition.
-        """
+    def idle_slots(self) -> list[IdleSlot]:
+        """All idle slots in the leased quanta of all containers."""
         tq = self.pricing.quantum_seconds
         slots: list[IdleSlot] = []
         for cid, items in self.by_container().items():
             first, last = self.leased_quanta(cid)
-            lease_start, lease_end = first * tq, last * tq
-            # Busy intervals clipped to the lease.
-            busy = [
-                (max(a.start, lease_start), min(a.end, lease_end))
-                for a in items
-                if a.end > lease_start and a.start < lease_end
-            ]
-            busy.sort()
-            gaps: list[tuple[float, float]] = []
-            cursor = lease_start
-            for b_start, b_end in busy:
-                if b_start > cursor + 1e-9:
-                    gaps.append((cursor, b_start))
-                cursor = max(cursor, b_end)
-            if cursor < lease_end - 1e-9:
-                gaps.append((cursor, lease_end))
-            for g_start, g_end in gaps:
-                if merge_quanta:
-                    slots.append(
-                        IdleSlot(cid, quantum=int(g_start // tq), start=g_start, end=g_end)
-                    )
-                    continue
-                cursor = g_start
-                while cursor < g_end - 1e-9:
-                    boundary = math.floor(cursor / tq + 1e-9) * tq + tq
-                    piece_end = min(boundary, g_end)
-                    slots.append(
-                        IdleSlot(cid, quantum=int(cursor // tq), start=cursor, end=piece_end)
-                    )
-                    cursor = piece_end
+            busy = [(a.start, a.end) for a in items]
+            for start, end in quantum_gaps(busy, first * tq, last * tq, tq):
+                slots.append(IdleSlot(cid, quantum=int(start // tq), start=start, end=end))
         return slots
 
     def fragmentation_quanta(self) -> float:
         """Total idle time inside leased quanta, in quanta."""
         return sum(s.duration for s in self.idle_slots()) / self.pricing.quantum_seconds
-
-    def max_sequential_idle_seconds(self) -> float:
-        """Longest single contiguous idle period (the Algorithm 4 tie-break)."""
-        merged = self.idle_slots(merge_quanta=True)
-        return max((s.duration for s in merged), default=0.0)
 
     # ------------------------------------------------------------------
     # Validation

@@ -263,14 +263,6 @@ class GainModel:
         if self._build_time_cache.pop(index_name, None) is not None:
             self.cost_stats.invalidate()
 
-    def build_cost_quanta(self, index: Index) -> float:
-        """mi(idx): monetary cost of the remaining build, in quanta.
-
-        Builds run on already-leased resources, so this equals the build
-        time — the money the idle slots would otherwise waste.
-        """
-        return self.build_time_quanta(index)
-
     def storage_cost_dollars(self, index: Index) -> float:
         """st(idx, W): keeping the whole index for the storage window.
 
@@ -297,72 +289,26 @@ class GainModel:
     # ------------------------------------------------------------------
     # Equations 4, 5, 3
     # ------------------------------------------------------------------
-    def time_gain(
-        self,
-        index: Index,
-        samples: list[DataflowGainSample],
-        fade_quanta: float | None = None,
-    ) -> float:
-        """Equation 5, in quanta."""
-        total = sum(
-            self.fading(s.age_quanta, fade_quanta) * s.time_gain_quanta
-            for s in samples
-            if self.in_window(s.age_quanta)
-        )
-        return total - self.build_time_quanta(index)
-
-    def money_gain(
-        self,
-        index: Index,
-        samples: list[DataflowGainSample],
-        fade_quanta: float | None = None,
-    ) -> float:
-        """Equation 4, in dollars."""
-        mc = self.pricing.quantum_price
-        total = sum(
-            self.fading(s.age_quanta, fade_quanta) * mc * s.money_gain_quanta
-            for s in samples
-            if self.in_window(s.age_quanta)
-        )
-        build = mc * self.build_cost_quanta(index)
-        return total - (build + self.storage_cost_dollars(index))
-
     def evaluate(
         self,
         index: Index,
         samples: list[DataflowGainSample],
         fade_quanta: float | None = None,
     ) -> IndexGain:
-        """Equation 3: the weighted combined gain (and its components).
-
-        The returned :class:`IndexGain` also carries the Eq. 3-5 term
-        breakdown; the inflow terms are derived from the gains and the
-        cost terms (never recomputed), so evaluation cost and the gt/gm
-        float arithmetic are bit-identical to the unadorned model.
-        """
-        gt = self.time_gain(index, samples, fade_quanta)
-        gm = self.money_gain(index, samples, fade_quanta)
-        alpha = self.params.alpha
-        combined = alpha * self.pricing.quantum_price * gt + (1.0 - alpha) * gm
-        build_time = self.build_time_quanta(index)
-        build_cost = self.pricing.quantum_price * build_time  # mi(idx) == ti(idx)
-        storage_cost = self.storage_cost_dollars(index)
-        fade = self.params.fade_quanta if fade_quanta is None else fade_quanta
-        in_window = sum(1 for s in samples if self.in_window(s.age_quanta))
-        return IndexGain(
-            index_name=index.name,
-            time_gain_quanta=gt,
-            money_gain_dollars=gm,
-            combined_dollars=combined,
-            delete_threshold_quanta=self.params.delete_threshold_quanta,
-            faded_time_quanta=gt + build_time,
-            faded_money_dollars=gm + build_cost + storage_cost,
-            build_time_quanta=build_time,
-            build_cost_dollars=build_cost,
-            storage_cost_dollars=storage_cost,
-            fade_quanta=fade,
-            samples=in_window,
-        )
+        """Equation 3 over a raw sample list: folds the in-window samples
+        into the two faded inflows, then :meth:`evaluate_from_sums`."""
+        mc = self.pricing.quantum_price
+        faded_time = 0.0
+        faded_money = 0.0
+        in_window = 0
+        for s in samples:
+            if not self.in_window(s.age_quanta):
+                continue
+            dc = self.fading(s.age_quanta, fade_quanta)
+            faded_time += dc * s.time_gain_quanta
+            faded_money += dc * mc * s.money_gain_quanta
+            in_window += 1
+        return self.evaluate_from_sums(index, faded_time, faded_money, in_window, fade_quanta)
 
     def evaluate_from_sums(
         self,
@@ -375,15 +321,16 @@ class GainModel:
         """Equations 3-5 from pre-aggregated benefit inflows.
 
         ``faded_time_quanta`` is Σ dc(ΔT)·gtd over the in-window samples
-        and ``faded_money_dollars`` is Σ dc(ΔT)·Mc·gmd — exactly the two
-        sums :meth:`time_gain` / :meth:`money_gain` fold over the sample
-        list. The incremental evaluator maintains those sums across
-        calls (:mod:`repro.tuning.incremental`); everything downstream
-        of the sums (cost terms, Eq. 3 weighting, breakdown) is the
-        identical arithmetic of :meth:`evaluate`.
+        and ``faded_money_dollars`` is Σ dc(ΔT)·Mc·gmd over the in-window
+        samples, as :meth:`evaluate` folds them from a sample list. The
+        incremental evaluator maintains those sums across calls
+        (:mod:`repro.tuning.incremental`). Equation 5 is ``gt``, Equation
+        4 is ``gm`` and Equation 3 weights the two.
         """
         build_time = self.build_time_quanta(index)
-        build_cost = self.pricing.quantum_price * build_time  # mi(idx) == ti(idx)
+        # mi(idx) == ti(idx): builds run on already-leased resources, so
+        # they cost the money the idle slots would otherwise waste.
+        build_cost = self.pricing.quantum_price * build_time
         storage_cost = self.storage_cost_dollars(index)
         gt = faded_time_quanta - build_time
         gm = faded_money_dollars - (build_cost + storage_cost)

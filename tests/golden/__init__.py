@@ -17,6 +17,10 @@ import json
 import tempfile
 from dataclasses import asdict, replace
 from pathlib import Path
+from typing import TYPE_CHECKING
+
+if TYPE_CHECKING:
+    from repro.core.metrics import ServiceMetrics
 
 GOLDEN_DIR = Path(__file__).resolve().parent
 
@@ -104,6 +108,10 @@ HOOKED_JOURNAL_KINDS = frozenset({
 })
 
 
+def _outcomes(metrics: ServiceMetrics) -> str:
+    return json.dumps([asdict(o) for o in metrics.outcomes], sort_keys=True)
+
+
 def _regen_hooked_runs() -> str:
     from repro import run_experiment
     from repro.core.config import ExperimentConfig
@@ -146,8 +154,7 @@ def _regen_hooked_runs() -> str:
         json.loads(line.split(" ", 2)[2])["kind"] for line in wal.splitlines()
     }
     assert wal_kinds == HOOKED_WAL_KINDS, sorted(wal_kinds ^ HOOKED_WAL_KINDS)
-    outcomes = json.dumps([asdict(o) for o in metrics.outcomes], sort_keys=True)
-    pin("full", obs, wal=wal, trace=trace_json(obs.tracer), outcomes=outcomes)
+    pin("full", obs, wal=wal, trace=trace_json(obs.tracer), outcomes=_outcomes(metrics))
 
     obs = Observation.recording()
     run_experiment(
@@ -155,6 +162,24 @@ def _regen_hooked_runs() -> str:
         interleaver="online", obs=obs,
     )
     pin("observe_only_watchdog", obs)
+
+    # The simulator's two execution branches the runs above barely
+    # reach: pooled containers without faults, and dedicated containers
+    # under operator failures, crashes and stragglers.
+    branches = {
+        "pooled_fault_free": replace(
+            cfg, operator_failure_rate=0.0, container_crash_rate=0.0,
+            straggler_rate=0.0, storage_put_failure_rate=0.0,
+            storage_delete_failure_rate=0.0, checkpoint_interval_s=0.0,
+        ),
+        "dedicated_faults": replace(cfg, enable_pooling=False),
+    }
+    for name, branch_cfg in branches.items():
+        obs = Observation.recording()
+        metrics = run_experiment(
+            Strategy.GAIN, config=branch_cfg, interleaver="lp", obs=obs,
+        )
+        pin(name, obs, trace=trace_json(obs.tracer), outcomes=_outcomes(metrics))
 
     _report, obs = run_tenants(config(**FAULT_STORM))
     pin("tenancy_fault_storm", obs)

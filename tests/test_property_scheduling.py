@@ -1,5 +1,7 @@
 """Property-based tests: scheduler invariants on random DAGs."""
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -10,6 +12,7 @@ from repro.dataflow.operator import Operator
 from repro.interleave.lp import lp_interleave
 from repro.interleave.slots import BuildCandidate
 from repro.scheduling.online_lb import OnlineLoadBalanceScheduler
+from repro.scheduling.schedule import quantum_gaps
 from repro.scheduling.skyline import SkylineScheduler
 
 
@@ -95,3 +98,51 @@ def test_property_interleaving_never_hurts(flow, durations):
         # A build is placed at most once.
         names = [a.op_name for a in inter.build_assignments]
         assert len(names) == len(set(names))
+
+
+TQ = PAPER_PRICING.quantum_seconds
+
+
+@st.composite
+def leases_with_busy(draw):
+    """A lease on the quantum grid and busy intervals in and around it."""
+    first = draw(st.integers(min_value=0, max_value=20))
+    quanta = draw(st.integers(min_value=1, max_value=5))
+    lease_start, lease_end = first * TQ, (first + quanta) * TQ
+    instant = st.floats(min_value=lease_start - TQ, max_value=lease_end + TQ)
+    busy = draw(st.lists(st.tuples(instant, instant).map(sorted).map(tuple), max_size=8))
+    return lease_start, lease_end, busy
+
+
+def _busy_inside(busy, lease_start, lease_end):
+    """Length of the union of the busy intervals, clipped to the lease."""
+    total, cursor = 0.0, lease_start
+    for start, end in sorted(busy):
+        start, end = max(start, cursor), min(end, lease_end)
+        if end > start:
+            total += end - start
+            cursor = end
+    return total
+
+
+@given(case=leases_with_busy())
+@settings(max_examples=300, deadline=None, derandomize=True)
+def test_property_quantum_gaps_tile_the_idle_lease(case):
+    """The idle pieces planner and simulator share are sorted, disjoint,
+    inside the lease, clear of every busy interval and of every quantum
+    boundary, and with the busy time they fill the whole lease."""
+    lease_start, lease_end, busy = case
+    pieces = quantum_gaps(busy, lease_start, lease_end, TQ)
+    tol = 1e-6
+    for (_, end), (start, _) in zip(pieces, pieces[1:]):
+        assert end <= start + tol
+    for start, end in pieces:
+        assert lease_start - tol <= start < end <= lease_end + tol
+        for b_start, b_end in busy:
+            assert min(end, b_end) - max(start, b_start) <= tol
+        next_boundary = (math.floor((start + tol) / TQ) + 1) * TQ
+        assert end <= next_boundary + tol
+    idle = sum(end - start for start, end in pieces)
+    assert idle + _busy_inside(busy, lease_start, lease_end) == pytest.approx(
+        lease_end - lease_start, abs=tol
+    )
