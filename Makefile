@@ -20,7 +20,7 @@ regen-golden:
 	$(PY) -m tests.golden
 
 lint:
-	$(PY) -m repro.analysis src/repro --flow --no-typecheck \
+	$(PY) -m repro.analysis src/repro --flow --no-typecheck --strict-suppressions \
 		--baseline flow-baseline.json
 
 typecheck:

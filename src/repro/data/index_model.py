@@ -14,6 +14,13 @@ Indexes are built **per table partition**; partitions of one index are
 independent, can be built in parallel, in any order, and the index is
 usable incrementally (a dataflow benefits from the fraction already
 built).
+
+Every figure of an index is computed once per run, on its first request.
+The figures read only the partitions' record counts, the table's column
+statistics and the index spec, and none of these changes during a run: a
+batch update creates a new *version* of a partition with the same record
+count. The memoised figures are therefore exactly the floats a fresh
+computation would return.
 """
 
 from __future__ import annotations
@@ -22,6 +29,7 @@ import math
 import zlib
 from dataclasses import dataclass, field
 from enum import Enum
+from typing import NamedTuple
 
 from repro.cloud.container import ContainerSpec, PAPER_CONTAINER
 from repro.cloud.pricing import PricingModel
@@ -138,6 +146,15 @@ class IndexPartitionModel:
         return self.build_seconds + self.io_seconds
 
 
+class _IndexFigures(NamedTuple):
+    """The static figures of one index over one table object."""
+
+    table: Table
+    #: One model per partition, in ``table.partitions`` (= id) order.
+    partitions: tuple[IndexPartitionModel, ...]
+    size_mb: float
+
+
 class IndexCostModel:
     """Computes per-partition sizes, build times and storage costs."""
 
@@ -148,67 +165,83 @@ class IndexCostModel:
     ) -> None:
         self.pricing = pricing
         self.container = container
-        # Partition figures are pure functions of (table, spec, partition)
-        # and are requested millions of times by the tuner — memoise.
-        self._partition_cache: dict[tuple, IndexPartitionModel] = {}
+        # Each index's figures are computed once, on the first request,
+        # and never go stale: record counts are fixed for a run and data
+        # updates bump only partition versions, which no figure reads.
+        # Keyed on (table name, spec), not id(table), because the model is
+        # pickled into recovery snapshots; an entry is served only for the
+        # table object it was computed from, so another table of the same
+        # name recomputes.
+        self._figures: dict[tuple[str, IndexSpec], _IndexFigures] = {}
 
     def key_bytes(self, table: Table, spec: IndexSpec) -> float:
         """Average key size of the index from the table's column stats."""
         return sum(table.statistics.field_bytes(c) for c in spec.columns)
 
-    def partition_size_mb(self, table: Table, spec: IndexSpec, partition: Partition) -> float:
-        """Size in MB of the index partition built on ``partition``."""
-        key = self.key_bytes(table, spec)
-        if spec.kind is IndexKind.HASH:
-            size = hash_size_bytes(partition.num_records, key)
-        else:
-            size = btree_size_bytes(partition.num_records, key)
-        return size / (1024.0 * 1024.0)
+    def _index_figures(self, table: Table, spec: IndexSpec) -> _IndexFigures:
+        key = (table.name, spec)
+        entry = self._figures.get(key)
+        if entry is not None and entry.table is table:
+            return entry
+        key_bytes = self.key_bytes(table, spec)
+        record_bytes = table.statistics.record_bytes()
+        partitions = tuple(
+            self._partition_figures(spec, key_bytes, record_bytes, p)
+            for p in table.partitions
+        )
+        entry = _IndexFigures(table, partitions, sum(p.size_mb for p in partitions))
+        self._figures[key] = entry
+        return entry
 
-    def index_size_mb(self, table: Table, spec: IndexSpec) -> float:
-        """Full index size: the sum over all table partitions."""
-        return sum(self.partition_size_mb(table, spec, p) for p in table.partitions)
-
-    def io_seconds(self, table: Table, spec: IndexSpec, partition: Partition) -> float:
-        """``tio``: read the partition and write the index over the net."""
-        part_mb = partition.num_records * table.statistics.record_bytes() / (1024.0 * 1024.0)
-        idx_mb = self.partition_size_mb(table, spec, partition)
-        return (part_mb + idx_mb) / self.container.net_bw_mb_s
-
-    def build_seconds(self, table: Table, spec: IndexSpec, partition: Partition) -> float:
-        """CPU part of the build: ``C(idx) * n * log_k(n)``."""
+    def _partition_figures(
+        self, spec: IndexSpec, key_bytes: float, record_bytes: float, partition: Partition
+    ) -> IndexPartitionModel:
         n = partition.num_records
-        if n <= 1:
-            return 0.0
-        rec = index_record_bytes(self.key_bytes(table, spec))
-        k = btree_fanout(rec)
-        return spec.build_constant * n * math.log(n, k)
+        if spec.kind is IndexKind.HASH:
+            size_mb = hash_size_bytes(n, key_bytes) / (1024.0 * 1024.0)
+        else:
+            size_mb = btree_size_bytes(n, key_bytes) / (1024.0 * 1024.0)
+        # CPU part of the build, ``C(idx) * n * log_k(n)``.
+        build_seconds = 0.0
+        if n > 1:
+            k = btree_fanout(index_record_bytes(key_bytes))
+            build_seconds = spec.build_constant * n * math.log(n, k)
+        # ``tio``: read the partition and write the index over the net.
+        part_mb = n * record_bytes / (1024.0 * 1024.0)
+        return IndexPartitionModel(
+            partition_id=partition.partition_id,
+            num_records=n,
+            size_mb=size_mb,
+            build_seconds=build_seconds,
+            io_seconds=(part_mb + size_mb) / self.container.net_bw_mb_s,
+        )
 
     def partition_model(
         self, table: Table, spec: IndexSpec, partition: Partition
     ) -> IndexPartitionModel:
-        key = (table.name, spec.name, spec.kind, spec.build_constant,
-               partition.partition_id, partition.num_records, partition.version)
-        cached = self._partition_cache.get(key)
-        if cached is not None:
-            return cached
-        model = IndexPartitionModel(
-            partition_id=partition.partition_id,
-            num_records=partition.num_records,
-            size_mb=self.partition_size_mb(table, spec, partition),
-            build_seconds=self.build_seconds(table, spec, partition),
-            io_seconds=self.io_seconds(table, spec, partition),
-        )
-        if len(self._partition_cache) > 100_000:
-            self._partition_cache.clear()
-        self._partition_cache[key] = model
-        return model
+        """Size, build time and IO time of the index partition on ``partition``."""
+        return self._index_figures(table, spec).partitions[partition.partition_id]
+
+    def partition_size_mb(self, table: Table, spec: IndexSpec, partition: Partition) -> float:
+        """Size in MB of the index partition built on ``partition``."""
+        return self._index_figures(table, spec).partitions[partition.partition_id].size_mb
+
+    def index_size_mb(self, table: Table, spec: IndexSpec) -> float:
+        """Full index size: the sum over all table partitions."""
+        return self._index_figures(table, spec).size_mb
+
+    def io_seconds(self, table: Table, spec: IndexSpec, partition: Partition) -> float:
+        """``tio``: read the partition and write the index over the net."""
+        return self.partition_model(table, spec, partition).io_seconds
+
+    def build_seconds(self, table: Table, spec: IndexSpec, partition: Partition) -> float:
+        """CPU part of the build: ``C(idx) * n * log_k(n)``."""
+        return self.partition_model(table, spec, partition).build_seconds
 
     def build_time_quanta(self, table: Table, spec: IndexSpec) -> float:
         """``ti(idx)``: total build time over all partitions, in quanta."""
         seconds = sum(
-            self.partition_model(table, spec, p).total_build_seconds
-            for p in table.partitions
+            p.total_build_seconds for p in self._index_figures(table, spec).partitions
         )
         return self.pricing.quanta(seconds)
 

@@ -106,11 +106,24 @@ class TableStatistics:
 
 @dataclass
 class Table:
-    """A partitioned table stored in the cloud storage service."""
+    """A partitioned table stored in the cloud storage service.
+
+    Partition ids are positions: ``partitions[i].partition_id == i``, as
+    :func:`partition_table` numbers them, so :meth:`partition` is one
+    list index.
+    """
 
     schema: TableSchema
     partitions: list[Partition]
     statistics: TableStatistics
+
+    def __post_init__(self) -> None:
+        for position, part in enumerate(self.partitions):
+            if part.partition_id != position:
+                raise ValueError(
+                    f"partition ids of table {self.name!r} must be 0..n-1 in order; "
+                    f"position {position} holds partition {part.partition_id}"
+                )
 
     @property
     def name(self) -> str:
@@ -126,29 +139,27 @@ class Table:
         return self.num_records * rec / (1024.0 * 1024.0)
 
     def partition(self, partition_id: int) -> Partition:
-        for part in self.partitions:
-            if part.partition_id == partition_id:
-                return part
+        if 0 <= partition_id < len(self.partitions):
+            return self.partitions[partition_id]
         raise KeyError(f"no partition {partition_id} in table {self.name!r}")
 
     def update_partition(self, partition_id: int) -> Partition:
         """Simulate a batch update: create a new version of one partition.
 
-        Returns the new partition object. Indexes built on the old version
-        must be invalidated by the caller (see
+        The new version keeps the record count, so every figure of the
+        index model stays valid. Returns the new partition object. Indexes
+        built on the old version must be invalidated by the caller (see
         :meth:`repro.data.index_model.Index.invalidate_partition`).
         """
-        for i, part in enumerate(self.partitions):
-            if part.partition_id == partition_id:
-                updated = Partition(
-                    partition_id=part.partition_id,
-                    num_records=part.num_records,
-                    path=part.path,
-                    version=part.version + 1,
-                )
-                self.partitions[i] = updated
-                return updated
-        raise KeyError(f"no partition {partition_id} in table {self.name!r}")
+        part = self.partition(partition_id)
+        updated = Partition(
+            partition_id=part.partition_id,
+            num_records=part.num_records,
+            path=part.path,
+            version=part.version + 1,
+        )
+        self.partitions[partition_id] = updated
+        return updated
 
 
 def partition_table(

@@ -15,7 +15,6 @@ from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
 from repro.data.catalog import Catalog
-from repro.data.index_model import Index
 from repro.dataflow.graph import Dataflow
 from repro.interleave.lp import InterleavedSchedule, lp_interleave, select_fastest
 from repro.interleave.online import online_interleave
@@ -112,7 +111,6 @@ class OnlineIndexTuner:
         # model; see repro.tuning.incremental). The naive refold is kept
         # only as the frozen oracle in tests/differential/oracle.py.
         self._incremental = IncrementalGainEvaluator(gain_model, history)
-        self._read_quanta_cache: dict[str, float] = {}
         # Per-dataflow gtd/gmd are intrinsic to the dataflow (original
         # runtimes); queued dataflows are re-examined at every decision,
         # so memoise by name with LRU eviction — hot names (queued
@@ -124,13 +122,6 @@ class OnlineIndexTuner:
     # ------------------------------------------------------------------
     # Gain bookkeeping
     # ------------------------------------------------------------------
-    def index_read_quanta(self, index: Index) -> float:
-        cached = self._read_quanta_cache.get(index.name)
-        if cached is None:
-            cached = self.gain_model.index_read_quanta(index)
-            self._read_quanta_cache[index.name] = cached
-        return cached
-
     def index_size_mb(self, name: str) -> float:
         index = self.catalog.index(name)
         return self.gain_model.cost_model.index_size_mb(index.table, index.spec)
@@ -145,7 +136,7 @@ class OnlineIndexTuner:
             self._df_gain_cache.move_to_end(dataflow.name)
             return cached
         known = [n for n in dataflow.candidate_indexes if n in self.catalog.indexes]
-        read = {n: self.index_read_quanta(self.catalog.index(n)) for n in known}
+        read = {n: self.gain_model.index_read_quanta(self.catalog.index(n)) for n in known}
         sizes = {n: self.index_size_mb(n) for n in known}
         gains = dataflow_index_gains(
             dataflow,

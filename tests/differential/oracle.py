@@ -18,6 +18,9 @@ Contents:
 * :func:`oracle_solve_knapsack` — the pre-optimisation branch-and-bound
   (recursive suffix bounds, no memo). The optimised solver must return
   bit-identical solutions.
+* :func:`oracle_partition_figures` / :func:`oracle_index_size_mb` — the
+  pre-memo per-call arithmetic of :class:`repro.data.index_model.IndexCostModel`.
+  The memoised model must return bit-identical figures.
 """
 
 from __future__ import annotations
@@ -27,6 +30,16 @@ from dataclasses import dataclass, field
 
 from repro.cloud.container import PAPER_CONTAINER, ContainerSpec
 from repro.cloud.pricing import PricingModel
+from repro.data.index_model import (
+    IndexKind,
+    IndexPartitionModel,
+    IndexSpec,
+    btree_fanout,
+    btree_size_bytes,
+    hash_size_bytes,
+    index_record_bytes,
+)
+from repro.data.table import Partition, Table
 from repro.dataflow.graph import Dataflow
 from repro.dataflow.operator import Operator
 from repro.interleave.knapsack import (
@@ -51,10 +64,9 @@ def oracle_faded_sums(
 ) -> tuple[float, float, int]:
     """(Σ dc·gtd, Σ dc·Mc·gmd, #in-window samples) by direct summation.
 
-    One ``exp`` per sample per call — exactly what the naive tuner path
-    does via :meth:`GainModel.time_gain` / :meth:`GainModel.money_gain`,
-    and exactly what ``IncrementalGainEvaluator.faded_sums`` maintains
-    incrementally.
+    One ``exp`` per sample per call — exactly the sums
+    :meth:`GainModel.evaluate` folds from a sample list, and exactly what
+    ``IncrementalGainEvaluator.faded_sums`` maintains incrementally.
     """
     mc = model.pricing.quantum_price
     sum_time = 0.0
@@ -423,3 +435,58 @@ def oracle_index_savings(
             saved_s = op.runtime * weights.get(data_file.name, 0.0) * (1.0 - 1.0 / factor)
             savings[index_name] = savings.get(index_name, 0.0) + saved_s
     return savings
+
+
+# ----------------------------------------------------------------------
+# Index-model oracle: Section 3 figures, recomputed on every call
+# ----------------------------------------------------------------------
+def _oracle_key_bytes(table: Table, spec: IndexSpec) -> float:
+    return sum(table.statistics.field_bytes(c) for c in spec.columns)
+
+
+def _oracle_partition_size_mb(table: Table, spec: IndexSpec, partition: Partition) -> float:
+    key = _oracle_key_bytes(table, spec)
+    if spec.kind is IndexKind.HASH:
+        size = hash_size_bytes(partition.num_records, key)
+    else:
+        size = btree_size_bytes(partition.num_records, key)
+    return size / (1024.0 * 1024.0)
+
+
+def oracle_partition_figures(
+    table: Table,
+    spec: IndexSpec,
+    partition: Partition,
+    container: ContainerSpec = PAPER_CONTAINER,
+) -> IndexPartitionModel:
+    """Size, build time and IO time of one index partition, from scratch.
+
+    A frozen copy of the per-call ``partition_size_mb``, ``io_seconds``
+    and ``build_seconds`` of ``IndexCostModel`` before it memoised each
+    index: the key width, the record width and the B+tree fanout are
+    re-derived on every call.
+    """
+    size_mb = _oracle_partition_size_mb(table, spec, partition)
+    part_mb = partition.num_records * table.statistics.record_bytes() / (1024.0 * 1024.0)
+    idx_mb = _oracle_partition_size_mb(table, spec, partition)
+    io_seconds = (part_mb + idx_mb) / container.net_bw_mb_s
+    n = partition.num_records
+    if n <= 1:
+        build_seconds = 0.0
+    else:
+        rec = index_record_bytes(_oracle_key_bytes(table, spec))
+        k = btree_fanout(rec)
+        build_seconds = spec.build_constant * n * math.log(n, k)
+    return IndexPartitionModel(
+        partition_id=partition.partition_id,
+        num_records=n,
+        size_mb=size_mb,
+        build_seconds=build_seconds,
+        io_seconds=io_seconds,
+    )
+
+
+def oracle_index_size_mb(table: Table, spec: IndexSpec) -> float:
+    """Whole-index size: the builtin ``sum()`` of the per-partition sizes,
+    in ``table.partitions`` order."""
+    return sum(_oracle_partition_size_mb(table, spec, p) for p in table.partitions)

@@ -1,6 +1,7 @@
 """Tests for tables, partitioning, index size/time models and TPC-H."""
 
 import math
+import pickle
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -20,6 +21,7 @@ from repro.data.table import (
     Column,
     ColumnType,
     Partition,
+    Table,
     TableSchema,
     TableStatistics,
     partition_table,
@@ -78,6 +80,41 @@ class TestPartitioning:
         updated = table.update_partition(0)
         assert updated.version == 1
         assert table.partition(0).version == 1
+
+    def _multi(self):
+        table = partition_table("t", self._schema(), self._stats(100.0),
+                                total_records=1000, max_partition_mb=0.01)
+        assert len(table.partitions) == 10
+        return table
+
+    def test_partition_lookup_is_positional(self):
+        table = self._multi()
+        for pid, part in enumerate(table.partitions):
+            assert table.partition(pid) is part
+
+    @pytest.mark.parametrize("pid", [-1, 10, 10**9])
+    def test_partition_rejects_ids_out_of_range(self, pid):
+        # -1 must not wrap around to the last partition.
+        table = self._multi()
+        with pytest.raises(KeyError):
+            table.partition(pid)
+        with pytest.raises(KeyError):
+            table.update_partition(pid)
+
+    def test_partition_returns_new_version_after_update(self):
+        table = self._multi()
+        old = table.partition(3)
+        updated = table.update_partition(3)
+        assert table.partition(3) is updated
+        assert (updated.version, updated.num_records, updated.path) == (
+            1, old.num_records, old.path)
+        assert all(table.partition(pid).version == 0 for pid in (0, 1, 2, 4))
+
+    @pytest.mark.parametrize("ids", [[1], [0, 2], [1, 0], [0, 0]])
+    def test_non_positional_partition_ids_rejected(self, ids):
+        partitions = [Partition(partition_id=i, num_records=5, path=f"t/{i}") for i in ids]
+        with pytest.raises(ValueError):
+            Table(schema=self._schema(), partitions=partitions, statistics=self._stats())
 
     def test_size_mb_consistent_with_stats(self):
         table = partition_table("t", self._schema(), self._stats(100.0),
@@ -181,6 +218,63 @@ class TestIndexCostModel:
     def test_hash_kind_supported(self, table, cost_model):
         spec = IndexSpec("lineitem", ("orderkey",), kind=IndexKind.HASH)
         assert cost_model.index_size_mb(table, spec) > 0
+
+
+class TestIndexFigureMemo:
+    """The per-index memo serves only the table object it was computed from."""
+
+    SPECS = (
+        IndexSpec("lineitem", ("orderkey",)),
+        IndexSpec("lineitem", ("comment", "orderkey"), kind=IndexKind.HASH),
+    )
+
+    @staticmethod
+    def _figures(model, table, spec):
+        return (
+            model.index_size_mb(table, spec),
+            model.build_time_quanta(table, spec),
+            model.storage_cost_dollars(table, spec, 10.0),
+            [
+                (
+                    model.partition_model(table, spec, p),
+                    model.partition_size_mb(table, spec, p),
+                    model.io_seconds(table, spec, p),
+                    model.build_seconds(table, spec, p),
+                )
+                for p in table.partitions
+            ],
+        )
+
+    @pytest.mark.parametrize("spec", SPECS)
+    def test_same_name_tables_get_their_own_figures(self, spec):
+        small, large = lineitem_table(scale=1), lineitem_table(scale=2)
+        assert small.name == large.name
+        model = IndexCostModel(PAPER_PRICING)
+        for table in (small, large, small, large):
+            fresh = self._figures(IndexCostModel(PAPER_PRICING), table, spec)
+            assert self._figures(model, table, spec) == fresh
+        assert model.index_size_mb(small, spec) < model.index_size_mb(large, spec)
+
+    @pytest.mark.parametrize("spec", SPECS)
+    def test_update_partition_changes_no_figure(self, spec):
+        table = lineitem_table(scale=1)
+        model = IndexCostModel(PAPER_PRICING)
+        before = self._figures(model, table, spec)
+        for p in list(table.partitions):
+            table.update_partition(p.partition_id)
+        table.update_partition(0)
+        assert self._figures(model, table, spec) == before
+        assert self._figures(IndexCostModel(PAPER_PRICING), table, spec) == before
+
+    @pytest.mark.parametrize("spec", SPECS)
+    def test_pickle_round_trip_serves_the_restored_table(self, spec):
+        table = lineitem_table(scale=1)
+        model = IndexCostModel(PAPER_PRICING)
+        before = self._figures(model, table, spec)
+        restored_model, restored_table = pickle.loads(pickle.dumps((model, table)))
+        assert self._figures(restored_model, restored_table, spec) == before
+        fresh = self._figures(IndexCostModel(PAPER_PRICING), restored_table, spec)
+        assert fresh == before
 
 
 class TestIndexRuntimeState:
