@@ -164,13 +164,19 @@ class CloudStorage:
         return [p for p, o in self._objects.items() if o.live]
 
     def _advance(self, time: float) -> None:
-        """Integrate stored bytes forward to ``time``."""
+        """Integrate stored bytes forward to ``time``.
+
+        The live total is summed only when the clock moves: at ``dt == 0``
+        the product is ``0.0``, and adding it leaves the non-negative
+        integral bit-identical.
+        """
         if time < self._accounted_until - 1e-9:
             raise ValueError(
                 f"storage clock moved backwards: {time} < {self._accounted_until}"
             )
         dt = max(0.0, time - self._accounted_until)
-        self._mb_seconds += self.live_mb * dt
+        if dt > 0.0:
+            self._mb_seconds += self.live_mb * dt
         self._accounted_until = max(self._accounted_until, time)
 
     def storage_cost(self, until: float) -> float:

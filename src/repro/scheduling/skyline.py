@@ -21,15 +21,43 @@ in ``tests/differential/oracle.py``):
 * predecessor edges and operator durations are precomputed once per
   ``schedule()`` call instead of per branch;
 * each partial carries its money (lease quanta, exact integers) and its
-  longest *closed* idle gap incrementally, so scoring a partial is O(1)
-  in the number of assignments;
-* each step selects before it materialises: every branch is previewed
-  (scored without copying the partial's state), the next skyline is
-  picked from the previews and the pass-through partials, and only the
-  at most ``max_skyline`` previews it keeps are copied into partials;
-* the idle-time tie-break is scored only for exact (time, money, #ops)
-  ties at the head of a group that enters the front, in O(1) per
-  preview from its parent's two largest lease-tail gaps.
+  longest *closed* idle gap incrementally, so scoring a move is O(1) in
+  the number of assignments. Container ids are ``0..k-1`` in order of
+  first use (a fresh container is always the next id), so a partial's
+  per-container state is one list, and each container's lease quanta and
+  tail gap are computed once, when a move lands on it;
+* one scoring loop serves every step. An operator's ready time on a
+  container that holds none of its placed inputs is the largest remote
+  arrival; it is computed once per parent, and only containers holding
+  an input get their own;
+* a required operator's moves are scored as plain tuples, sorted by
+  (time, money, entry order) and swept into a Pareto front; only the at
+  most ``max_skyline`` moves kept are copied into partials. The idle
+  tie-break is scored only for exact (time, money) ties at the head of a
+  group that enters the front, in O(1) per move from its parent's two
+  largest lease-tail gaps. (Every partial entering a required step holds
+  the same number of assignments, because optional operators come last,
+  so the reference's -#ops key never separates two moves there.)
+* an optional operator settles each parent in one pass: the parent
+  becomes its best same-money move — the most sequential idle, the first
+  in container order on a tie — or stays as it is. No move is kept as a
+  row, sorted or swept, and the move is applied to the parent in place,
+  because a parent has exactly one successor in an optional step.
+
+Why the one-pass optional step is exact. The skyline entering a step is
+a strict front: ``time_end / tq`` strictly increases and ``money_quanta``
+strictly decreases along it, because the sweep admits an entry only when
+its money is below every earlier one's, the cap keeps a subsequence, and
+an optional step keeps every parent's time and money. An optional move never changes ``time_end``, and it never lowers money:
+the new lease end is at least the old one, and a fresh container costs at
+least one quantum. So a move that raises money sorts after its parent's
+pass-through (same time, more money) and is never admitted. The
+same-money moves of a parent P share one key, (t_P, m_P, -(n_P + 1)),
+which sorts just ahead of P's pass-through (t_P, m_P, -n_P). Keys differ
+across parents, so those moves tie with nothing from another parent. The
+front therefore holds exactly one entry per parent, in parent order —
+the best same-money move where there is one, else the pass-through — and
+the cap never fires.
 """
 
 from __future__ import annotations
@@ -52,23 +80,25 @@ class _Partial:
 
     ``time_end`` tracks only non-optional (dataflow) operators: optional
     index builds never count toward the makespan, but they do extend
-    ``container_avail`` (capacity) and are charged in the money objective
-    if they spill past the quanta the dataflow already leases — which is
-    exactly what makes such schedules dominated and discarded.
+    their container's last end (capacity) and are charged in the money
+    objective if they spill past the quanta the dataflow already leases —
+    which is exactly what makes such schedules dominated and discarded.
 
-    ``money_quanta`` is the total leased quanta over all containers,
-    maintained exactly (integer arithmetic) as assignments land.
-    ``max_closed_gap`` is the longest idle period that can no longer
-    grow — the head gap of each container's lease plus every gap between
-    consecutive assignments; only the per-container tail gaps (which move
-    with the lease end) are computed at scoring time.
+    ``op_placed`` maps each placed operator to its container and end.
+    ``containers[c]`` is container ``c``'s (last end, first leased
+    quantum, end of its leased quanta, lease tail gap), computed once,
+    when a move lands on it; the tail gap runs from the last end to the
+    end of the lease. ``money_quanta`` is the total leased quanta over
+    all containers, maintained exactly (integer arithmetic) as
+    assignments land. ``max_closed_gap`` is the longest idle period that
+    can no longer grow — the head gap of each container's lease plus
+    every gap between consecutive assignments; only the tail gaps move
+    with the lease end.
     """
 
     assignments: tuple[Assignment, ...] = ()
-    container_avail: dict[int, float] = field(default_factory=dict)
-    container_first: dict[int, float] = field(default_factory=dict)
-    op_end: dict[str, float] = field(default_factory=dict)
-    op_container: dict[str, int] = field(default_factory=dict)
+    containers: list[tuple[float, int, int, float]] = field(default_factory=list)
+    op_placed: dict[str, tuple[int, float]] = field(default_factory=dict)
     time_end: float = 0.0
     money_quanta: int = 0
     max_closed_gap: float = 0.0
@@ -76,29 +106,19 @@ class _Partial:
     def branch(self) -> "_Partial":
         return _Partial(
             assignments=self.assignments,
-            container_avail=dict(self.container_avail),
-            container_first=dict(self.container_first),
-            op_end=dict(self.op_end),
-            op_container=dict(self.op_container),
+            containers=self.containers.copy(),
+            op_placed=self.op_placed.copy(),
             time_end=self.time_end,
             money_quanta=self.money_quanta,
             max_closed_gap=self.max_closed_gap,
         )
 
 
-@dataclass(slots=True)
-class _Preview:
-    """The scored outcome of assigning one operator to one container,
-    computed without copying the parent partial's dictionaries."""
-
-    parent: _Partial
-    cid: int
-    start: float
-    end: float
-    time_end: float
-    money_quanta: int
-    max_closed_gap: float
-    num_ops: int
+#: One scored move of a required operator, as :meth:`SkylineScheduler._select`
+#: sorts it: (time_end / tq, money_quanta, entry index, parent, container,
+#: start, end, max_closed_gap). The entry index is unique, so sorting never
+#: compares further.
+_Move = tuple[float, int, int, _Partial, int, float, float, float]
 
 
 class SkylineScheduler:
@@ -156,17 +176,23 @@ class SkylineScheduler:
             op = dataflow.operators[op_name]
             duration = durations[op_name]
             edges = in_edges[op_name]
-            previews = [
-                preview
-                for partial in skyline
-                for preview in self._previews(partial, edges, duration, op)
-            ]
-            # Keeping an optional op unscheduled is allowed.
-            passthrough = skyline if op.optional else []
-            branched_total += len(previews) + len(passthrough)
+            # Every used container, plus a fresh one under the cap.
+            for partial in skyline:
+                branched_total += min(len(partial.containers) + 1, self.max_containers)
+            if op.optional:
+                # Keeping an optional op unscheduled is allowed: each
+                # parent's pass-through partial counts as branched too.
+                branched_total += len(skyline)
+                skyline = [
+                    self._branch(partial, op, edges, duration, []) for partial in skyline
+                ]
+                continue
+            rows: list[_Move] = []
+            for partial in skyline:
+                self._branch(partial, op, edges, duration, rows)
             skyline = [
-                self._materialize(entry, op) if isinstance(entry, _Preview) else entry
-                for entry in self._select(previews, passthrough)
+                self._apply(parent.branch(), op, cid, start, end, money, closed_gap)
+                for _, money, _, parent, cid, start, end, closed_gap in self._select(rows)
             ]
         if self.obs.enabled:
             self.obs.metrics.counter("scheduler/invocations").inc()
@@ -220,99 +246,129 @@ class SkylineScheduler:
             durations[name] = duration
         return durations
 
-    def _candidate_containers(self, partial: _Partial) -> list[int]:
-        used = sorted(partial.container_avail)
-        if len(used) < self.max_containers:
-            fresh = (max(used) + 1) if used else 0
-            return used + [fresh]
-        return used
+    def _branch(
+        self,
+        partial: _Partial,
+        op: Operator,
+        edges: list[Edge],
+        duration: float,
+        rows: list[_Move],
+    ) -> _Partial:
+        """Score ``op`` on each candidate container of ``partial``, in
+        container order, without copying ``partial``.
 
-    def _previews(
-        self, partial: _Partial, edges: list[Edge], duration: float, op: Operator
-    ) -> list[_Preview]:
-        """Score assigning ``op`` to each candidate container of
-        ``partial`` without copying any state."""
-        tq = self.pricing.quantum_seconds
-        # Each placed input: its container, and its arrival on that
-        # container and on any other.
-        inputs: list[tuple[int, float, float]] = []
-        for edge in edges:
-            src_end = partial.op_end.get(edge.src)
-            if src_end is not None:
-                remote = src_end + edge.data_mb / self.container.net_bw_mb_s
-                inputs.append((partial.op_container[edge.src], src_end, remote))
-        num_ops = len(partial.assignments) + 1
-        previews: list[_Preview] = []
-        for cid in self._candidate_containers(partial):
-            ready = 0.0
-            for src_cid, local, remote in inputs:
-                ready = max(ready, local if src_cid == cid else remote)
-            avail = partial.container_avail.get(cid)
-            if avail is None:
-                start = ready
-                start_q = math.floor(start / tq + 1e-9)
-                old_contrib = 0
-                # Head gap of a fresh lease: from the quantum boundary the
-                # lease starts on to the operator's start.
-                gap = start - start_q * tq
-            else:
-                start = max(ready, avail)
-                start_q = math.floor(partial.container_first[cid] / tq + 1e-9)
-                old_contrib = max(start_q + 1, math.ceil(avail / tq - 1e-9)) - start_q
-                gap = start - avail
-            end = start + duration
-            new_contrib = max(start_q + 1, math.ceil(end / tq - 1e-9)) - start_q
-            previews.append(_Preview(
-                parent=partial,
-                cid=cid,
-                start=start,
-                end=end,
-                time_end=partial.time_end if op.optional else max(partial.time_end, end),
-                money_quanta=partial.money_quanta + (new_contrib - old_contrib),
-                max_closed_gap=max(partial.max_closed_gap, gap),
-                num_ops=num_ops,
-            ))
-        return previews
-
-    def _materialize(self, preview: _Preview, op: Operator) -> _Partial:
-        """Commit a preview: copy the parent state and apply the move."""
-        partial = preview.parent
-        out = partial.branch()
-        cid = preview.cid
-        out.assignments = (
-            *partial.assignments,
-            Assignment(op.name, cid, preview.start, preview.end),
-        )
-        out.container_avail[cid] = preview.end
-        out.container_first.setdefault(cid, preview.start)
-        out.op_end[op.name] = preview.end
-        out.op_container[op.name] = cid
-        out.time_end = preview.time_end
-        out.money_quanta = preview.money_quanta
-        out.max_closed_gap = preview.max_closed_gap
-        return out
-
-    def _select(
-        self, previews: list[_Preview], passthrough: list[_Partial]
-    ) -> list[_Preview | _Partial]:
-        """Pareto skyline on (time, money) of one step, capped at ``max_skyline``.
-
-        One stable sort of the entries — previews, then pass-through
-        partials — by (time, money, -#ops) puts the best candidate of
-        each equal-(time, money) group first. Only that candidate can
-        enter the front, and only while its money beats every earlier
-        point's. Exact (time, money, #ops) ties at the head of such a
-        group go to the most sequential idle, then to entry order.
+        A required ``op`` appends every move to ``rows`` and returns
+        ``partial``. An optional ``op`` settles ``partial`` and returns
+        it: its best same-money move (the most sequential idle, the first
+        in container order on a tie) is applied to it in place, since an
+        optional step replaces each parent by exactly one successor;
+        when every move raises money, ``partial`` stays as it is. A
+        fresh container always raises money, so an optional ``op`` never
+        tries one.
         """
         tq = self.pricing.quantum_seconds
-        entries: list[_Preview | _Partial] = [*previews, *passthrough]
-        rows = [(p.time_end / tq, p.money_quanta, -p.num_ops, i) for i, p in enumerate(previews)]
-        rows += [
-            (p.time_end / tq, p.money_quanta, -len(p.assignments), i)
-            for i, p in enumerate(passthrough, start=len(previews))
-        ]
+        # Ready time on a container holding none of the placed inputs:
+        # the largest remote arrival. A container holding some gets its
+        # own, from local ends for those and remote arrivals for the rest.
+        remote = 0.0
+        placed: list[tuple[int, float, float]] = []
+        for edge in edges:
+            src = partial.op_placed.get(edge.src)
+            if src is not None:
+                src_cid, src_end = src
+                arrival = src_end + edge.data_mb / self.container.net_bw_mb_s
+                placed.append((src_cid, src_end, arrival))
+                remote = max(remote, arrival)
+        held: dict[int, float] = {}
+        for holder, _, _ in placed:
+            if holder not in held:
+                ready = 0.0
+                for src_cid, local, arrival in placed:
+                    ready = max(ready, local if src_cid == holder else arrival)
+                held[holder] = ready
+        optional = op.optional
+        time_end = partial.time_end
+        money = partial.money_quanta
+        closed = partial.max_closed_gap
+        best: tuple[int, float, float, float] | None = None
+        best_idle = -math.inf
+        tops: tuple[float, int, float] | None = None
+        # Moves are numbered in entry order across the step's parents.
+        entry = len(rows)
+        for cid, (avail, start_q, old_q, _) in enumerate(partial.containers):
+            start = max(held.get(cid, remote), avail)
+            end = start + duration
+            new_q = max(start_q + 1, math.ceil(end / tq - 1e-9))
+            if not optional:
+                rows.append((
+                    max(time_end, end) / tq, money + (new_q - old_q), entry + cid,
+                    partial, cid, start, end, max(closed, start - avail),
+                ))
+            elif new_q == old_q:
+                closed_gap = max(closed, start - avail)
+                if tops is None:
+                    tops = self._top_tails(partial)
+                idle = self._idle(tops, cid, end, closed_gap)
+                if idle > best_idle:
+                    best, best_idle = (cid, start, end, closed_gap), idle
+        if optional:
+            if best is None:
+                return partial
+            cid, start, end, closed_gap = best
+            return self._apply(partial, op, cid, start, end, money, closed_gap)
+        cid = len(partial.containers)
+        if cid < self.max_containers:
+            start = remote
+            start_q = math.floor(start / tq + 1e-9)
+            end = start + duration
+            new_q = max(start_q + 1, math.ceil(end / tq - 1e-9))
+            # Head gap of a fresh lease: from the quantum boundary the
+            # lease starts on to the operator's start.
+            rows.append((
+                max(time_end, end) / tq, money + (new_q - start_q), entry + cid,
+                partial, cid, start, end, max(closed, start - start_q * tq),
+            ))
+        return partial
+
+    def _apply(
+        self,
+        out: _Partial,
+        op: Operator,
+        cid: int,
+        start: float,
+        end: float,
+        money: int,
+        closed_gap: float,
+    ) -> _Partial:
+        """Apply a scored move to ``out`` in place and return it."""
+        tq = self.pricing.quantum_seconds
+        out.assignments = (*out.assignments, Assignment(op.name, cid, start, end))
+        end_q = math.ceil(end / tq - 1e-9)
+        if cid < len(out.containers):
+            start_q = out.containers[cid][1]
+            out.containers[cid] = (end, start_q, max(start_q + 1, end_q), end_q * tq - end)
+        else:
+            start_q = math.floor(start / tq + 1e-9)
+            out.containers.append((end, start_q, max(start_q + 1, end_q), end_q * tq - end))
+        out.op_placed[op.name] = (cid, end)
+        if not op.optional:
+            out.time_end = max(out.time_end, end)
+        out.money_quanta = money
+        out.max_closed_gap = closed_gap
+        return out
+
+    def _select(self, rows: list[_Move]) -> list[_Move]:
+        """Pareto skyline on (time, money) of one required step, capped
+        at ``max_skyline``.
+
+        One sort of the moves by (time, money, entry index) puts the best
+        candidate of each equal-(time, money) group first. Only that
+        candidate can enter the front, and only while its money beats
+        every earlier point's. Exact (time, money) ties at the head of
+        such a group go to the most sequential idle, then to entry order.
+        """
         rows.sort()
-        front: list[_Preview | _Partial] = []
+        front: list[_Move] = []
         tails: dict[int, tuple[float, int, float]] = {}
         best_money = math.inf
         for k, row in enumerate(rows):
@@ -320,13 +376,19 @@ class SkylineScheduler:
                 continue
             best_money = row[1]
             end = k + 1
-            while end < len(rows) and rows[end][:3] == row[:3]:
+            while end < len(rows) and rows[end][0] == row[0] and rows[end][1] == row[1]:
                 end += 1
-            pick = row[3]
             if end - k > 1:
-                ties = [tie[3] for tie in rows[k:end]]
-                pick = max(ties, key=lambda i: self._idle(entries[i], tails))
-            front.append(entries[pick])
+                best_idle = -math.inf
+                for tie in rows[k:end]:
+                    parent = tie[3]
+                    tops = tails.get(id(parent))
+                    if tops is None:
+                        tops = tails[id(parent)] = self._top_tails(parent)
+                    idle = self._idle(tops, tie[4], tie[6], tie[7])
+                    if idle > best_idle:
+                        row, best_idle = tie, idle
+            front.append(row)
         if len(front) > self.max_skyline:
             if self.max_skyline == 1:
                 front = [front[0]]  # the fastest point
@@ -338,38 +400,28 @@ class SkylineScheduler:
         return front
 
     def _idle(
-        self, entry: _Preview | _Partial, tails: dict[int, tuple[float, int, float]]
+        self, tops: tuple[float, int, float], cid: int, end: float, closed_gap: float
     ) -> float:
-        """Longest contiguous idle period across containers (tie-break).
+        """Longest contiguous idle period across containers after a move
+        that ends on ``cid`` at ``end`` (the tie-break).
 
         The closed gaps are carried incrementally. Of the lease tails,
-        which still move, a preview changes only its own container's, so
-        its parent's two largest tails score it in O(1).
+        which still move, a move changes only its own container's, so
+        the parent's two largest tails (``tops``) score it in O(1).
         """
-        if isinstance(entry, _Preview):
-            first, first_cid, second = self._top_tails(entry.parent, tails)
-            others = second if entry.cid == first_cid else first
-            tq = self.pricing.quantum_seconds
-            tail = math.ceil(entry.end / tq - 1e-9) * tq - entry.end
-            return max(entry.max_closed_gap, others, tail)
-        return max(entry.max_closed_gap, self._top_tails(entry, tails)[0])
+        first, first_cid, second = tops
+        tq = self.pricing.quantum_seconds
+        tail = math.ceil(end / tq - 1e-9) * tq - end
+        return max(closed_gap, second if cid == first_cid else first, tail)
 
-    def _top_tails(
-        self, partial: _Partial, tails: dict[int, tuple[float, int, float]]
-    ) -> tuple[float, int, float]:
+    def _top_tails(self, partial: _Partial) -> tuple[float, int, float]:
         """The largest lease-tail gap, its container and the runner-up
-        (``-inf`` where there are too few containers), memoised in
-        ``tails`` by partial for one step."""
-        top = tails.get(id(partial))
-        if top is None:
-            tq = self.pricing.quantum_seconds
-            first = second = -math.inf
-            first_cid = -1
-            for cid, avail in partial.container_avail.items():
-                tail = math.ceil(avail / tq - 1e-9) * tq - avail
-                if tail > first:
-                    first, first_cid, second = tail, cid, first
-                elif tail > second:
-                    second = tail
-            top = tails[id(partial)] = (first, first_cid, second)
-        return top
+        (``-inf`` where there are too few containers)."""
+        first = second = -math.inf
+        first_cid = -1
+        for cid, (_, _, _, tail) in enumerate(partial.containers):
+            if tail > first:
+                first, first_cid, second = tail, cid, first
+            elif tail > second:
+                second = tail
+        return first, first_cid, second

@@ -49,11 +49,17 @@ def _regen_roi_table() -> str:
 
 
 # Default-config runs whose bytes a refactor must leave unchanged: the
-# sha256 of stdout and of each obs artifact, once per interleaver.
+# sha256 of stdout and of each obs artifact, once per interleaver, plus
+# the random-app generator under online interleaving (its 100-operator
+# dataflows carry many optional builds through the skyline scheduler).
 DEFAULT_RUN_ARGS = [
     "run", "--strategy", "gain", "--seed", "7", "--horizon-quanta", "10",
 ]
 DEFAULT_RUN_INTERLEAVERS = ("lp", "online")
+RANDOM_ONLINE_RUN_ARGS = [
+    "run", "--strategy", "gain", "--generator", "random",
+    "--interleaver", "online", "--seed", "7", "--horizon-quanta", "20",
+]
 DEFAULT_RUN_ARTIFACTS = {
     "--events-out": "events.jsonl",
     "--metrics-out": "metrics.json",
@@ -68,25 +74,27 @@ def _sha256(data: str) -> str:
 def _regen_default_runs() -> str:
     from repro.cli import main as cli_main
 
+    runs = {
+        interleaver: [*DEFAULT_RUN_ARGS, "--interleaver", interleaver]
+        for interleaver in DEFAULT_RUN_INTERLEAVERS
+    }
+    runs["random_online"] = RANDOM_ONLINE_RUN_ARGS
     digests: dict[str, dict[str, str]] = {}
-    for interleaver in DEFAULT_RUN_INTERLEAVERS:
+    for name, args in runs.items():
         with tempfile.TemporaryDirectory() as tmp:
             out = Path(tmp)
             artifact_args = []
-            for flag, name in DEFAULT_RUN_ARTIFACTS.items():
-                artifact_args += [flag, str(out / name)]
+            for flag, artifact in DEFAULT_RUN_ARTIFACTS.items():
+                artifact_args += [flag, str(out / artifact)]
             sink = io.StringIO()
             with contextlib.redirect_stdout(sink):
-                rc = cli_main([
-                    *DEFAULT_RUN_ARGS, "--interleaver", interleaver,
-                    *artifact_args,
-                ])
-            assert rc == 0, f"default {interleaver} run failed: rc={rc}"
+                rc = cli_main([*args, *artifact_args])
+            assert rc == 0, f"{name} run failed: rc={rc}"
             # stdout names the artifact paths; drop the temp directory.
             stdout = sink.getvalue().replace(str(out), "<out>")
-            digests[interleaver] = {"stdout": _sha256(stdout)} | {
-                flag: _sha256((out / name).read_text())
-                for flag, name in DEFAULT_RUN_ARTIFACTS.items()
+            digests[name] = {"stdout": _sha256(stdout)} | {
+                flag: _sha256((out / artifact).read_text())
+                for flag, artifact in DEFAULT_RUN_ARTIFACTS.items()
             }
     return json.dumps(digests, indent=2, sort_keys=True) + "\n"
 

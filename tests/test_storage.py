@@ -89,6 +89,26 @@ class TestBilling:
             storage.accounted_mb_seconds
         )
 
+    def test_live_total_is_summed_only_when_the_clock_moves(self, storage, monkeypatch):
+        sums = 0
+        live_mb = CloudStorage.live_mb
+
+        def counting_live_mb(store):
+            nonlocal sums
+            sums += 1
+            return live_mb.fget(store)
+
+        monkeypatch.setattr(CloudStorage, "live_mb", property(counting_live_mb))
+        for k in range(5):
+            storage.put(f"t/{k}", 10.0, time=0.0)
+        storage.delete("t/0", time=0.0)
+        storage.get("t/1", time=0.0)
+        assert sums == 0
+        storage.put("t/5", 10.0, time=60.0)
+        assert sums == 1
+        assert storage.accounted_mb_seconds == 40.0 * 60.0
+        assert storage.recompute_mb_seconds() == storage.accounted_mb_seconds
+
 
 class TestSnapshot:
     def test_snapshot_reflects_history(self, storage):
