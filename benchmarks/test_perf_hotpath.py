@@ -17,7 +17,12 @@ before, in the same process, on the same inputs:
 * **full simulated day** — the end-to-end service loop: the optimised
   stack vs the service with the oracle scheduler, the oracle knapsack
   (no memo) and the oracle gain refold patched back in (required:
-  >= 1.5x).
+  >= 1.5x);
+* **recovery commit** — the commit record's catalog digest over the
+  evaluation catalog's 500 indexes, with a few seeded build-state
+  mutations between commits: the from-scratch oracle vs the manager's
+  per-index memo, cold first commit included, with identical digests
+  asserted (required: >= 5x).
 
 Headline numbers land in ``BENCH_hotpath.json`` via the
 ``figure_metrics`` fixture when ``REPRO_BENCH_METRICS_DIR`` is set.
@@ -25,24 +30,32 @@ Headline numbers land in ``BENCH_hotpath.json`` via the
 
 from __future__ import annotations
 
+import tempfile
 import time
+from pathlib import Path
+from types import SimpleNamespace
 
+import numpy as np
 from conftest import print_header, print_rows
 
 from repro.cloud.pricing import PAPER_PRICING
 from repro.core.config import ExperimentConfig
 from repro.core.metrics import ServiceMetrics
 from repro.core.service import QaaSService, Strategy
+from repro.data.catalog import build_workload_catalog
 from repro.data.index_model import IndexCostModel
 from repro.dataflow.client import ArrivalEvent, build_workload
 from repro.obs import NOOP_OBS
 from repro.perf import CacheStats
+from repro.recovery.manager import RecoveryManager
+from repro.recovery.wal import WriteAheadLog
 from repro.tuning.gain import GainModel, GainParameters
 from repro.tuning.history import DataflowHistory, DataflowRecord
 from repro.tuning.incremental import IncrementalGainEvaluator
 
 from tests.differential.oracle import (
     OracleSkylineScheduler,
+    oracle_catalog_digest,
     oracle_faded_sums,
     oracle_solve_knapsack,
 )
@@ -238,10 +251,54 @@ def _bench_e2e(monkeypatch):
     }
 
 
+# ----------------------------------------------------------------------
+# Part 4: recovery commit digest (>= 5x required)
+# ----------------------------------------------------------------------
+def _bench_recovery_commit(commits: int = 80, mutations: int = 4):
+    catalog = build_workload_catalog(PAPER_PRICING)
+    indexes = [catalog.indexes[name] for name in sorted(catalog.indexes)]
+    service = SimpleNamespace(catalog=catalog)
+    rng = np.random.default_rng(7)
+    naive_s = memo_s = 0.0
+    with tempfile.TemporaryDirectory() as tmp:
+        manager = RecoveryManager(tmp, WriteAheadLog(Path(tmp) / "wal.jsonl"))
+        for commit in range(commits):
+            # A step changes a handful of indexes: builds complete,
+            # killed builds checkpoint, data updates invalidate.
+            for _ in range(mutations):
+                index = indexes[int(rng.integers(len(indexes)))]
+                pid = int(rng.integers(len(index.partitions)))
+                kind = int(rng.integers(3))
+                if kind == 0:
+                    index.mark_built(pid, 60.0 * commit)
+                elif kind == 1:
+                    index.record_checkpoint(pid, 5.0)
+                else:
+                    index.invalidate_partition(pid)
+            t0 = time.perf_counter()
+            expected = oracle_catalog_digest(catalog)
+            t1 = time.perf_counter()
+            actual = manager._catalog_digest(service)
+            t2 = time.perf_counter()
+            assert actual == expected
+            naive_s += t1 - t0
+            memo_s += t2 - t1
+        manager.close()
+    return {
+        "indexes": len(indexes),
+        "commits": commits,
+        "mutations_per_commit": mutations,
+        "naive_ops_per_s": commits / naive_s,
+        "memoised_ops_per_s": commits / memo_s,
+        "speedup": naive_s / memo_s,
+    }
+
+
 def test_hotpath(benchmark, figure_metrics, monkeypatch):
     gain = _bench_gain_update()
     skyline = _bench_skyline()
     builds = _bench_skyline_builds()
+    commit = _bench_recovery_commit()
     e2e = benchmark.pedantic(lambda: _bench_e2e(monkeypatch), rounds=1, iterations=1)
 
     print_header("Hot-path performance: naive oracle vs optimised layer")
@@ -254,6 +311,8 @@ def test_hotpath(benchmark, figure_metrics, monkeypatch):
              f"{skyline['optimised_ops_per_s']:.2f}", f"{skyline['speedup']:.1f}x"],
             ["skyline with builds", f"{builds['naive_ops_per_s']:.2f}",
              f"{builds['optimised_ops_per_s']:.2f}", f"{builds['speedup']:.1f}x"],
+            ["recovery commit", f"{commit['naive_ops_per_s']:.1f}",
+             f"{commit['memoised_ops_per_s']:.1f}", f"{commit['speedup']:.1f}x"],
             ["full sim day (30 q)", f"{e2e['naive_days_per_hour']:.1f}/h",
              f"{e2e['optimised_days_per_hour']:.1f}/h", f"{e2e['speedup']:.1f}x"],
         ],
@@ -264,11 +323,13 @@ def test_hotpath(benchmark, figure_metrics, monkeypatch):
     figure_metrics["gain_window_update"] = gain
     figure_metrics["skyline_schedule"] = skyline
     figure_metrics["skyline_schedule_builds"] = builds
+    figure_metrics["recovery_commit"] = commit
     figure_metrics["full_sim_day"] = e2e
     benchmark.extra_info.update(
         gain_speedup=gain["speedup"],
         skyline_speedup=skyline["speedup"],
         skyline_builds_speedup=builds["speedup"],
+        recovery_commit_speedup=commit["speedup"],
         e2e_speedup=e2e["speedup"],
     )
 
@@ -277,4 +338,5 @@ def test_hotpath(benchmark, figure_metrics, monkeypatch):
     assert gain["speedup"] >= 3.0
     assert skyline["speedup"] >= 1.2
     assert builds["speedup"] >= 10.0
+    assert commit["speedup"] >= 5.0
     assert e2e["speedup"] >= 1.5

@@ -106,19 +106,27 @@ class RunState:
     closures) so crash recovery can pickle the run mid-stream and a
     restored (service, state) pair continues exactly where the original
     stopped. ``generated`` caches the workload's lazily generated
-    dataflows: generation draws from the workload RNG in *admission*
-    order (including queued-lookahead peeks), so only the cache — never
-    the RNG position alone — makes restoration sound.
+    dataflows that are not admitted yet (the next admission and the
+    queued lookahead), keyed by arrival position: generation draws from
+    the workload RNG in *admission* order (including queued-lookahead
+    peeks), so only the cache — never the RNG position alone — makes
+    restoration sound. The step that admits a position releases its
+    dataflow (the pending decision keeps its own reference until it
+    settles), so the cache never holds a position below ``i`` and a
+    snapshot never pickles an executed dataflow.
     """
 
     metrics: ServiceMetrics
     ordered: list[ArrivalEvent]
-    generated: list[Dataflow | None]
     slots: int
+    #: Dataflows generated but not yet admitted, by arrival position.
+    generated: dict[int, Dataflow] = field(default_factory=dict)
     #: Min-heap of finish times of running dataflows.
     running: list[float] = field(default_factory=list)
     #: Results whose effects (built partitions, history) have not been
     #: applied yet — applied once simulated time passes their finish.
+    #: A decision keeps only what settling reads: the gains of the
+    #: indexes it builds, no skyline and no ranking.
     pending: list[tuple[float, object, TunerDecision, str]] = field(
         default_factory=list
     )
@@ -284,15 +292,9 @@ class QaaSService:
         if self.strategy is Strategy.RANDOM:
             return self._decide_random(dataflow)
         decision = self.tuner.on_dataflow(dataflow, now, queued=queued)
-        # The decision waits in RunState.pending until it settles: drop
-        # the skyline and ranking it no longer needs so snapshots of the
-        # pending queue stay small.
-        return replace(
-            decision,
-            skyline=[],
-            ranked=[],
-            to_delete=decision.to_delete if self.strategy is Strategy.GAIN else [],
-        )
+        if self.strategy is Strategy.GAIN:
+            return decision
+        return replace(decision, to_delete=[])
 
     def _decide_degraded(self, dataflow: Dataflow, mode: str) -> TunerDecision:
         """Graceful degradation: schedule without consulting the tuner.
@@ -827,7 +829,6 @@ class QaaSService:
         state = RunState(
             metrics=metrics,
             ordered=ordered,
-            generated=[None] * len(ordered),
             slots=max(
                 1, self.config.max_containers // self.config.scheduler_containers
             ),
@@ -836,13 +837,35 @@ class QaaSService:
         return state
 
     def _dataflow_at(self, state: RunState, i: int) -> Dataflow:
-        dataflow = state.generated[i]
+        """The dataflow of not-yet-admitted arrival ``i``, generated on
+        first read. An admitted position is never regenerated: that
+        would draw from the workload RNG out of admission order."""
+        if i < state.i:
+            raise IndexError(f"arrival {i} is admitted; its dataflow was released")
+        dataflow = state.generated.get(i)
         if dataflow is None:
             dataflow = self.workload.next_dataflow(
                 state.ordered[i].app, issued_at=state.ordered[i].time
             )
             state.generated[i] = dataflow
         return dataflow
+
+    @staticmethod
+    def _pending_decision(decision: TunerDecision) -> TunerDecision:
+        """What a decision keeps while it waits in ``RunState.pending``.
+
+        Settling reads the gains of completed builds only, and every
+        completed build is one of ``chosen.scheduled_builds``; the deletes
+        and the ledger's predictions read the full gains earlier in the
+        step. Trimming here keeps snapshots of the pending queue small.
+        """
+        scheduled = {c.index_name for c in decision.chosen.scheduled_builds}
+        return replace(
+            decision,
+            skyline=[],
+            ranked=[],
+            gains={name: g for name, g in decision.gains.items() if name in scheduled},
+        )
 
     def _settle(self, state: RunState, until: float, epoch: Epoch) -> None:
         """Offer the effects of every execution finished by ``until``.
@@ -978,7 +1001,9 @@ class QaaSService:
         result = exec_out[0]
         crash_point("service.post_execute")
         heapq.heappush(state.running, result.finish_time)
-        state.pending.append((result.finish_time, result, decision, event.app))
+        state.pending.append(
+            (result.finish_time, result, self._pending_decision(decision), event.app)
+        )
 
         metrics.operator_retries += result.operator_retries
         metrics.operators_recovered += result.operators_recovered
@@ -1019,6 +1044,7 @@ class QaaSService:
         self.obs.metrics.counter("service/dataflows_executed").inc()
         self.recovery.record("execution", result.finish_time, iteration=i, **fact)
         epoch.drain("service.step_end")
+        del state.generated[i]
         state.i = i + 1
         self.recovery.commit(self, state, exec_start)
         crash_point("service.post_commit")

@@ -45,7 +45,10 @@ from repro.recovery.snapshot import (
 )
 from repro.recovery.wal import WalRecord, WriteAheadLog, encode_body
 
-FORMAT_VERSION = 1
+#: Version of the manifest and snapshot layout. Bump it whenever a pickled
+#: class changes shape, so resume refuses an old run directory at its
+#: manifest instead of failing part-way through unpickling a snapshot.
+FORMAT_VERSION = 2
 
 #: Snapshots retained per run directory (older ones are pruned).
 SNAPSHOT_KEEP = 3
@@ -152,6 +155,10 @@ class RecoveryManager(RecoveryLog):
         self._suffix: list[WalRecord] = replay_suffix or []
         self._cursor = 0
         self.stats = stats if stats is not None else RecoveryStats()
+        #: Commit-digest memo: index name -> (index, build_version,
+        #: state digest). It lives on the manager, which a snapshot
+        #: detaches, so it is never pickled and a resumed run starts cold.
+        self._digests: dict[str, tuple[Any, int, str]] = {}
 
     # ------------------------------------------------------------------
     # Lifecycle
@@ -374,13 +381,24 @@ class RecoveryManager(RecoveryLog):
     # ------------------------------------------------------------------
     # Helpers
     # ------------------------------------------------------------------
-    @staticmethod
-    def _catalog_digest(service: Any) -> str:
-        """8-hex digest over every index's build-state digest."""
-        parts = [
-            service.catalog.indexes[name].state_digest()
-            for name in sorted(service.catalog.indexes)
-        ]
+    def _catalog_digest(self, service: Any) -> str:
+        """8-hex digest over every index's build-state digest.
+
+        Each index's digest is memoised on its ``build_version``, which
+        every build-state mutator of :class:`repro.data.index_model.Index`
+        bumps, so a commit recomputes only the indexes its step changed.
+        An entry is served only for the index object it was computed
+        from: an in-process restore brings new objects under old names.
+        """
+        indexes = service.catalog.indexes
+        memo = self._digests
+        parts = []
+        for name in sorted(indexes):
+            index = indexes[name]
+            entry = memo.get(name)
+            if entry is None or entry[0] is not index or entry[1] != index.build_version:
+                entry = memo[name] = (index, index.build_version, index.state_digest())
+            parts.append(entry[2])
         return f"{zlib.crc32('|'.join(parts).encode('ascii')):08x}"
 
     @property

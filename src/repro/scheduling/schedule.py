@@ -162,22 +162,38 @@ class Schedule:
         Dataflow operators determine the lease; interleaved build
         operators only use quanta that are already leased.
         """
-        items = [a for a in self.dataflow_assignments() if a.container_id == container_id]
-        if not items:
-            items = [a for a in self.assignments if a.container_id == container_id]
-        if not items:
+        lease = self._leases().get(container_id)
+        if lease is None:
             raise KeyError(f"container {container_id} is unused")
-        return lease_quanta(
-            min(a.start for a in items), max(a.end for a in items), self.pricing.quantum_seconds
-        )
+        return lease
+
+    def _leases(self) -> dict[int, tuple[int, int]]:
+        """Every used container's :meth:`leased_quanta`, from one pass.
+
+        A container's lease spans its dataflow operators; one that holds
+        none spans all its assignments. Min and max do not depend on the
+        visiting order, so each lease equals the per-container scan.
+        """
+        ops = self.dataflow.operators
+        spans: dict[int, tuple[float, float]] = {}
+        fallback: dict[int, tuple[float, float]] = {}
+        for a in self.assignments:
+            op = ops.get(a.op_name)
+            into = spans if op is not None and not op.is_build_index else fallback
+            span = into.get(a.container_id)
+            into[a.container_id] = (
+                (a.start, a.end)
+                if span is None
+                else (min(span[0], a.start), max(span[1], a.end))
+            )
+        for cid, span in fallback.items():
+            spans.setdefault(cid, span)
+        tq = self.pricing.quantum_seconds
+        return {cid: lease_quanta(first, last, tq) for cid, (first, last) in spans.items()}
 
     def money_quanta(self) -> int:
         """``md``: total leased quanta over all containers."""
-        total = 0
-        for cid in self.containers_used():
-            first, last = self.leased_quanta(cid)
-            total += last - first
-        return total
+        return sum(last - first for first, last in self._leases().values())
 
     def money_dollars(self) -> float:
         return self.pricing.compute_cost(self.money_quanta())
@@ -188,9 +204,10 @@ class Schedule:
     def idle_slots(self) -> list[IdleSlot]:
         """All idle slots in the leased quanta of all containers."""
         tq = self.pricing.quantum_seconds
+        leases = self._leases()
         slots: list[IdleSlot] = []
         for cid, items in self.by_container().items():
-            first, last = self.leased_quanta(cid)
+            first, last = leases[cid]
             busy = [(a.start, a.end) for a in items]
             for start, end in quantum_gaps(busy, first * tq, last * tq, tq):
                 slots.append(IdleSlot(cid, quantum=int(start // tq), start=start, end=end))

@@ -42,7 +42,11 @@ in ``tests/differential/oracle.py``):
   becomes its best same-money move — the most sequential idle, the first
   in container order on a tie — or stays as it is. No move is kept as a
   row, sorted or swept, and the move is applied to the parent in place,
-  because a parent has exactly one successor in an optional step.
+  because a parent has exactly one successor in an optional step;
+* a partial records its moves as a parent-linked chain of plain
+  ``(previous, op name, container, start, end)`` nodes that its copies
+  share, so applying a move adds one node. ``Assignment`` objects are
+  built once, in placement order, for the partials ``schedule`` returns.
 
 Why the one-pass optional step is exact. The skyline entering a step is
 a strict front: ``time_end / tq`` strictly increases and ``money_quanta``
@@ -73,6 +77,10 @@ from repro.obs import NOOP_OBS, Observation
 from repro.perf import CacheStats, LRUMemo
 from repro.scheduling.schedule import Assignment, Schedule
 
+#: One placed move, linked to the partial's previous one: (previous node
+#: or ``None``, op name, container, start, end).
+_Placed = tuple["_Placed | None", str, int, float, float]
+
 
 @dataclass
 class _Partial:
@@ -84,7 +92,9 @@ class _Partial:
     objective if they spill past the quanta the dataflow already leases —
     which is exactly what makes such schedules dominated and discarded.
 
-    ``op_placed`` maps each placed operator to its container and end.
+    ``placed`` is the newest node of the partial's move chain, which
+    copies share (see :attr:`assignments`). ``op_placed`` maps each
+    placed operator to its container and end.
     ``containers[c]`` is container ``c``'s (last end, first leased
     quantum, end of its leased quanta, lease tail gap), computed once,
     when a move lands on it; the tail gap runs from the last end to the
@@ -96,16 +106,27 @@ class _Partial:
     with the lease end.
     """
 
-    assignments: tuple[Assignment, ...] = ()
+    placed: _Placed | None = None
     containers: list[tuple[float, int, int, float]] = field(default_factory=list)
     op_placed: dict[str, tuple[int, float]] = field(default_factory=dict)
     time_end: float = 0.0
     money_quanta: int = 0
     max_closed_gap: float = 0.0
 
+    @property
+    def assignments(self) -> list[Assignment]:
+        """The placed moves as assignments, in placement order."""
+        out: list[Assignment] = []
+        node = self.placed
+        while node is not None:
+            node, op_name, cid, start, end = node
+            out.append(Assignment(op_name, cid, start, end))
+        out.reverse()
+        return out
+
     def branch(self) -> "_Partial":
         return _Partial(
-            assignments=self.assignments,
+            placed=self.placed,
             containers=self.containers.copy(),
             op_placed=self.op_placed.copy(),
             time_end=self.time_end,
@@ -203,7 +224,7 @@ class SkylineScheduler:
             ).observe(float(len(skyline)))
             self.topo_stats.publish(self.obs.metrics, "cache/scheduler_topo")
         return [
-            Schedule(dataflow=dataflow, pricing=self.pricing, assignments=list(p.assignments))
+            Schedule(dataflow=dataflow, pricing=self.pricing, assignments=p.assignments)
             for p in skyline
         ]
 
@@ -342,7 +363,7 @@ class SkylineScheduler:
     ) -> _Partial:
         """Apply a scored move to ``out`` in place and return it."""
         tq = self.pricing.quantum_seconds
-        out.assignments = (*out.assignments, Assignment(op.name, cid, start, end))
+        out.placed = (out.placed, op.name, cid, start, end)
         end_q = math.ceil(end / tq - 1e-9)
         if cid < len(out.containers):
             start_q = out.containers[cid][1]

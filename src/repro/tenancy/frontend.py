@@ -276,7 +276,6 @@ class TenantFrontEnd:
             if decision.outcome is AdmissionOutcome.ADMITTED:
                 stats.admitted += 1
                 runtime.state.ordered.append(ArrivalEvent(time=time, app=app))
-                runtime.state.generated.append(None)
                 self.obs.journal.emit(
                     "tenant_admitted", time, tenant=tenant_id, seq=seq, app=app
                 )

@@ -286,10 +286,9 @@ class OnlineIndexTuner:
         ranked = rank_indexes(list(gains.values()))
         candidates = self.build_candidates(ranked)
 
-        available = {idx.name for idx in self.catalog.built_indexes()}
-        fractions = {
-            idx.name: idx.built_fraction() for idx in self.catalog.built_indexes()
-        }
+        built = self.catalog.built_indexes()
+        available = {idx.name for idx in built}
+        fractions = {idx.name: idx.built_fraction() for idx in built}
         sizes_mb = {name: self.index_size_mb(name) for name in available}
         interleave = lp_interleave if self.interleaver == "lp" else online_interleave
         skyline = interleave(

@@ -21,15 +21,20 @@ Contents:
 * :func:`oracle_partition_figures` / :func:`oracle_index_size_mb` — the
   pre-memo per-call arithmetic of :class:`repro.data.index_model.IndexCostModel`.
   The memoised model must return bit-identical figures.
+* :func:`oracle_catalog_digest` — the recovery commit record's catalog
+  digest, rebuilt from every index's build state. The manager's
+  memoised digest must be byte-identical.
 """
 
 from __future__ import annotations
 
 import math
+import zlib
 from dataclasses import dataclass, field
 
 from repro.cloud.container import PAPER_CONTAINER, ContainerSpec
 from repro.cloud.pricing import PricingModel
+from repro.data.catalog import Catalog
 from repro.data.index_model import (
     IndexKind,
     IndexPartitionModel,
@@ -490,3 +495,27 @@ def oracle_index_size_mb(table: Table, spec: IndexSpec) -> float:
     """Whole-index size: the builtin ``sum()`` of the per-partition sizes,
     in ``table.partitions`` order."""
     return sum(_oracle_partition_size_mb(table, spec, p) for p in table.partitions)
+
+
+# ----------------------------------------------------------------------
+# Recovery commit oracle: the catalog digest, rebuilt from scratch
+# ----------------------------------------------------------------------
+def oracle_catalog_digest(catalog: Catalog) -> str:
+    """8-hex digest over every index's build-state digest, from scratch.
+
+    A frozen copy of ``RecoveryManager._catalog_digest`` and of the body
+    of ``Index.state_digest`` before the manager memoised each index's
+    digest: every partition's state is re-read at every call.
+    """
+    parts = []
+    for name in sorted(catalog.indexes):
+        index = catalog.indexes[name]
+        fields = [f"{index.name}:{index.build_version}"]
+        for pid in sorted(index.partitions):
+            st = index.partitions[pid]
+            fields.append(
+                f"{pid}:{int(st.built)}:{st.built_at!r}:"
+                f"{st.table_version}:{st.checkpoint_seconds!r}"
+            )
+        parts.append(f"{zlib.crc32('|'.join(fields).encode('utf-8')):08x}")
+    return f"{zlib.crc32('|'.join(parts).encode('ascii')):08x}"

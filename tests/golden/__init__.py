@@ -20,6 +20,7 @@ from pathlib import Path
 from typing import TYPE_CHECKING
 
 if TYPE_CHECKING:
+    from repro.core.config import ExperimentConfig
     from repro.core.metrics import ServiceMetrics
 
 GOLDEN_DIR = Path(__file__).resolve().parent
@@ -120,15 +121,11 @@ def _outcomes(metrics: ServiceMetrics) -> str:
     return json.dumps([asdict(o) for o in metrics.outcomes], sort_keys=True)
 
 
-def _regen_hooked_runs() -> str:
-    from repro import run_experiment
+def hooked_config() -> ExperimentConfig:
+    """The fully hooked run's config (online interleaver, recovery on)."""
     from repro.core.config import ExperimentConfig
-    from repro.core.service import Strategy
-    from repro.obs import Observation, trace_json
-    from repro.recovery.manager import WAL_NAME, RecoveryManager
-    from tests.test_tenancy_frontend import FAULT_STORM, config, run_tenants
 
-    cfg = ExperimentConfig(
+    return ExperimentConfig(
         total_time_s=40 * 60.0, poisson_mean_s=30.0, seed=7,
         operators_per_dataflow=40, enable_pooling=True, update_interval_s=60.0,
         operator_failure_rate=0.05, container_crash_rate=0.01,
@@ -136,6 +133,16 @@ def _regen_hooked_runs() -> str:
         storage_delete_failure_rate=0.1, checkpoint_interval_s=0.1,
         history_max_records=10, roi_ledger=True, watchdog_rollback=True,
     )
+
+
+def _regen_hooked_runs() -> str:
+    from repro import run_experiment
+    from repro.core.service import Strategy
+    from repro.obs import Observation, trace_json
+    from repro.recovery.manager import WAL_NAME, RecoveryManager
+    from tests.test_tenancy_frontend import FAULT_STORM, config, run_tenants
+
+    cfg = hooked_config()
     digests: dict[str, dict[str, str]] = {}
     journal_kinds: set[str] = set()
 

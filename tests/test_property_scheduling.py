@@ -12,7 +12,13 @@ from repro.dataflow.operator import Operator
 from repro.interleave.lp import lp_interleave
 from repro.interleave.slots import BuildCandidate
 from repro.scheduling.online_lb import OnlineLoadBalanceScheduler
-from repro.scheduling.schedule import quantum_gaps
+from repro.scheduling.schedule import (
+    Assignment,
+    IdleSlot,
+    Schedule,
+    lease_quanta,
+    quantum_gaps,
+)
 from repro.scheduling.skyline import SkylineScheduler
 
 
@@ -146,3 +152,62 @@ def test_property_quantum_gaps_tile_the_idle_lease(case):
     assert idle + _busy_inside(busy, lease_start, lease_end) == pytest.approx(
         lease_end - lease_start, abs=tol
     )
+
+
+@st.composite
+def schedules_with_builds(draw):
+    """Dataflow and build assignments on a few containers, in any order.
+
+    Builds land on the dataflow's containers and on two of their own, so
+    some containers hold builds only. A build is registered on the
+    dataflow (the online interleaver's shape) or not (the LP packer's
+    combined schedule); either way it does not set a lease it shares.
+    """
+    flow = Dataflow(name="leases")
+    containers = draw(st.integers(min_value=1, max_value=4))
+    instant = st.floats(min_value=0.0, max_value=6 * TQ)
+    assignments = []
+    for i in range(draw(st.integers(min_value=0, max_value=8))):
+        flow.add_operator(Operator(name=f"op{i}", runtime=1.0))
+        start, end = sorted(draw(st.tuples(instant, instant)))
+        cid = draw(st.integers(min_value=0, max_value=containers - 1))
+        assignments.append(Assignment(f"op{i}", cid, start, end))
+    for j in range(draw(st.integers(min_value=0, max_value=6))):
+        build = BuildCandidate(index_name=f"t{j}__c", partition_id=0, duration_s=1.0, gain=1.0)
+        if draw(st.booleans()):
+            flow.add_operator(build.to_operator())
+        start, end = sorted(draw(st.tuples(instant, instant)))
+        cid = draw(st.integers(min_value=0, max_value=containers + 1))
+        assignments.append(Assignment(build.op_name, cid, start, end))
+    order = draw(st.permutations(assignments))
+    return Schedule(dataflow=flow, pricing=PAPER_PRICING, assignments=list(order))
+
+
+def _reference_lease(schedule, cid):
+    """One container's lease from its own scan: its dataflow operators,
+    or all its assignments when it holds none."""
+    ops = schedule.dataflow.operators
+    mine = [a for a in schedule.assignments if a.container_id == cid]
+    items = [a for a in mine if a.op_name in ops and not ops[a.op_name].is_build_index]
+    items = items or mine
+    return lease_quanta(min(a.start for a in items), max(a.end for a in items), TQ)
+
+
+@given(schedule=schedules_with_builds())
+@settings(max_examples=300, deadline=None, derandomize=True)
+def test_property_one_pass_leases_match_per_container_scan(schedule):
+    """Money and idle slots derived from one pass over the assignments
+    equal those derived container by container."""
+    leases = {cid: _reference_lease(schedule, cid) for cid in schedule.containers_used()}
+    for cid, lease in leases.items():
+        assert schedule.leased_quanta(cid) == lease
+    assert schedule.money_quanta() == sum(last - first for first, last in leases.values())
+    expected = []
+    for cid, items in schedule.by_container().items():
+        first, last = leases[cid]
+        busy = [(a.start, a.end) for a in items]
+        for start, end in quantum_gaps(busy, first * TQ, last * TQ, TQ):
+            expected.append(IdleSlot(cid, quantum=int(start // TQ), start=start, end=end))
+    assert schedule.idle_slots() == expected
+    with pytest.raises(KeyError):
+        schedule.leased_quanta(max(leases, default=-1) + 1)

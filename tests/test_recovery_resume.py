@@ -13,7 +13,7 @@ from dataclasses import replace
 
 import pytest
 
-from repro import Strategy, resume_run, run_experiment
+from repro import Strategy, prepare_run, resume_run, run_experiment
 from repro.core.config import default_config
 from repro.obs import Observation, trace_json
 from repro.recovery import (
@@ -27,6 +27,8 @@ from repro.recovery import (
 )
 from repro.recovery.chaos import _metrics_fingerprint
 from repro.recovery.wal import frame_record
+
+from tests.golden import hooked_config
 
 SEED = 7
 HORIZON_S = 4 * 60.0
@@ -209,3 +211,93 @@ def test_snapshot_skipped_when_log_shorter_than_snapshot(tmp_path, reference):
     metrics, service = resume_run(str(tmp_path))
     assert _metrics_fingerprint(metrics) == reference[0]
     assert artifacts_of(service.obs) == reference[1]
+
+
+# ----------------------------------------------------------------------
+# The hooked configuration: online interleaver, pooling, faults, data
+# updates, ledger and watchdog rollback, obs recording
+# ----------------------------------------------------------------------
+HOOKED_SNAPSHOT_EVERY = 4
+
+
+def _drive(service, state):
+    """The service loop, checking after every step that the state holds
+    no dataflow at an admitted position."""
+    while service.step(state):
+        assert min(state.generated, default=state.i) >= state.i
+    return service.finish_run(state)
+
+
+def _hooked_run(directory):
+    config = hooked_config()
+    manager = RecoveryManager.start(
+        directory,
+        config,
+        strategy="gain",
+        generator="phase",
+        interleaver="online",
+        obs_enabled=True,
+        snapshot_every=HOOKED_SNAPSHOT_EVERY,
+    )
+    obs = Observation.recording()
+    service, events = prepare_run(
+        Strategy.GAIN, config=config, interleaver="online", obs=obs, recovery=manager
+    )
+    metrics = _drive(service, service.begin_run(events))
+    return metrics, obs
+
+
+@pytest.fixture(scope="module")
+def hooked_reference(tmp_path_factory):
+    metrics, obs = _hooked_run(tmp_path_factory.mktemp("hooked"))
+    return _metrics_fingerprint(metrics), artifacts_of(obs)
+
+
+@pytest.mark.parametrize("hit", [10, 17])
+def test_hooked_run_resumes_identically_across_a_snapshot(tmp_path, hooked_reference, hit):
+    """Crash after a snapshot whose state holds pending decisions with
+    scheduled builds and queued dataflows not yet admitted; the resumed
+    run's metrics and obs artifacts equal the uninterrupted run's."""
+    install_crash_plan(CrashPlan(point="service.post_commit", hit=hit, hard=False))
+    with pytest.raises(SimulatedCrash):
+        _hooked_run(tmp_path)
+    install_crash_plan(None)
+    resumed = RecoveryManager.resume(tmp_path)
+    state = resumed.state
+    assert resumed.snapshot_iteration == hit - hit % HOOKED_SNAPSHOT_EVERY
+    assert any(decision.chosen.scheduled_builds for _, _, decision, _ in state.pending)
+    assert state.generated and min(state.generated) >= state.i
+    metrics = _drive(resumed.service, state)
+    assert _metrics_fingerprint(metrics) == hooked_reference[0]
+    assert artifacts_of(resumed.service.obs) == hooked_reference[1]
+
+
+def test_pending_decisions_keep_only_the_gains_of_their_builds():
+    """A decision waiting to settle keeps the gains of the indexes it
+    builds (what the build journal events read), no skyline and no
+    ranking."""
+    service, events = prepare_run(
+        Strategy.GAIN, config=hooked_config(), interleaver="online"
+    )
+    state = service.begin_run(events)
+    kept = 0
+    while service.step(state):
+        for _, _, decision, _ in state.pending:
+            scheduled = {c.index_name for c in decision.chosen.scheduled_builds}
+            assert set(decision.gains) == scheduled
+            assert decision.skyline == [] and decision.ranked == []
+            kept += len(decision.gains)
+    service.finish_run(state)
+    assert kept > 0
+
+
+def test_an_admitted_position_is_never_regenerated():
+    """Generation draws from the workload RNG in admission order, so
+    reading a released position fails instead of drawing again."""
+    service, events = prepare_run(
+        Strategy.GAIN, config=hooked_config(), interleaver="online"
+    )
+    state = service.begin_run(events)
+    assert service.step(state) and service.step(state)
+    with pytest.raises(IndexError, match="released"):
+        service._dataflow_at(state, 1)
