@@ -22,7 +22,14 @@ before, in the same process, on the same inputs:
   evaluation catalog's 500 indexes, with a few seeded build-state
   mutations between commits: the from-scratch oracle vs the manager's
   per-index memo, cold first commit included, with identical digests
-  asserted (required: >= 5x).
+  asserted (required: >= 5x);
+* **recovery snapshot** — the snapshot payload of the fully hooked
+  configuration run over two simulated hours (60 steps, near churn's
+  89) after its last step: one ``pickle.dumps`` of the whole run, obs
+  journal and tracer included, vs the segment chunk of the obs entries
+  since the run's last snapshot plus the dump with those lists
+  detached, with identical unpickled artifacts asserted (required:
+  >= 1.5x).
 
 Headline numbers land in ``BENCH_hotpath.json`` via the
 ``figure_metrics`` fixture when ``REPRO_BENCH_METRICS_DIR`` is set.
@@ -30,14 +37,17 @@ Headline numbers land in ``BENCH_hotpath.json`` via the
 
 from __future__ import annotations
 
+import pickle
 import tempfile
 import time
+from dataclasses import replace
 from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
 from conftest import print_header, print_rows
 
+from repro import prepare_run
 from repro.cloud.pricing import PAPER_PRICING
 from repro.core.config import ExperimentConfig
 from repro.core.metrics import ServiceMetrics
@@ -45,9 +55,16 @@ from repro.core.service import QaaSService, Strategy
 from repro.data.catalog import build_workload_catalog
 from repro.data.index_model import IndexCostModel
 from repro.dataflow.client import ArrivalEvent, build_workload
-from repro.obs import NOOP_OBS
+from repro.obs import NOOP_OBS, Observation, trace_json
 from repro.perf import CacheStats
-from repro.recovery.manager import RecoveryManager
+from repro.recovery.manager import (
+    SEGMENT_NAME,
+    RecoveryManager,
+    obs_lists,
+    rebuild_obs_lists,
+    segment_chunk,
+)
+from repro.recovery.snapshot import read_chunks
 from repro.recovery.wal import WriteAheadLog
 from repro.tuning.gain import GainModel, GainParameters
 from repro.tuning.history import DataflowHistory, DataflowRecord
@@ -65,6 +82,7 @@ from tests.differential.test_skyline_oracle import (
     _app_flow_with_builds,
     _fingerprint,
 )
+from tests.golden import hooked_config
 
 INDEX = "lineitem__l_orderkey"
 
@@ -294,11 +312,70 @@ def _bench_recovery_commit(commits: int = 80, mutations: int = 4):
     }
 
 
+# ----------------------------------------------------------------------
+# Part 5: recovery snapshot payload (>= 1.5x required)
+# ----------------------------------------------------------------------
+def _obs_artifacts(obs) -> tuple[str, str, str]:
+    return (obs.journal.to_jsonl(), obs.metrics.to_json(), trace_json(obs.tracer))
+
+
+def _bench_recovery_snapshot(rounds: int = 7):
+    # A full dump costs more as the obs lists grow, so the run is long
+    # enough for them to outweigh the rest of the run, as on churn.
+    config = replace(hooked_config(), total_time_s=120 * 60.0)
+    with tempfile.TemporaryDirectory() as tmp:
+        manager = RecoveryManager.start(
+            tmp, config, strategy="gain", generator="phase",
+            interleaver="online", obs_enabled=True,
+        )
+        obs = Observation.recording()
+        service, events = prepare_run(
+            Strategy.GAIN, config=config, interleaver="online", obs=obs,
+            recovery=manager,
+        )
+        state = service.begin_run(events)
+        while service.step(state):
+            pass
+        lists = obs_lists(obs)
+        full_s = incremental_s = float("inf")
+        for _ in range(rounds):
+            t0 = time.perf_counter()
+            full = manager._dumps(service, state, None)
+            t1 = time.perf_counter()
+            chunk = segment_chunk(lists, manager._obs_counts)
+            payload = manager._dumps(service, state, lists)
+            t2 = time.perf_counter()
+            full_s = min(full_s, t1 - t0)
+            incremental_s = min(incremental_s, t2 - t1)
+        # Both payloads restore the same run: the detached one with its
+        # lists rebuilt from the segment the run wrote plus the new chunk.
+        chunks = read_chunks(Path(tmp) / SEGMENT_NAME, manager._segment_bytes)
+        rebuilt = rebuild_obs_lists(
+            [*chunks, chunk], tuple(len(entries) for entries in lists)
+        )
+        restored = pickle.loads(payload)["service"].obs
+        for entries, entries_rebuilt in zip(obs_lists(restored), rebuilt):
+            entries[:] = entries_rebuilt
+        expected = _obs_artifacts(obs)
+        assert _obs_artifacts(pickle.loads(full)["service"].obs) == expected
+        assert _obs_artifacts(restored) == expected
+        manager.close()
+    return {
+        "journal_events": len(lists[0]),
+        "full_bytes": len(full),
+        "incremental_bytes": len(chunk) + len(payload),
+        "naive_ops_per_s": 1.0 / full_s,
+        "incremental_ops_per_s": 1.0 / incremental_s,
+        "speedup": full_s / incremental_s,
+    }
+
+
 def test_hotpath(benchmark, figure_metrics, monkeypatch):
     gain = _bench_gain_update()
     skyline = _bench_skyline()
     builds = _bench_skyline_builds()
     commit = _bench_recovery_commit()
+    snapshot = _bench_recovery_snapshot()
     e2e = benchmark.pedantic(lambda: _bench_e2e(monkeypatch), rounds=1, iterations=1)
 
     print_header("Hot-path performance: naive oracle vs optimised layer")
@@ -313,6 +390,8 @@ def test_hotpath(benchmark, figure_metrics, monkeypatch):
              f"{builds['optimised_ops_per_s']:.2f}", f"{builds['speedup']:.1f}x"],
             ["recovery commit", f"{commit['naive_ops_per_s']:.1f}",
              f"{commit['memoised_ops_per_s']:.1f}", f"{commit['speedup']:.1f}x"],
+            ["recovery snapshot", f"{snapshot['naive_ops_per_s']:.1f}",
+             f"{snapshot['incremental_ops_per_s']:.1f}", f"{snapshot['speedup']:.1f}x"],
             ["full sim day (30 q)", f"{e2e['naive_days_per_hour']:.1f}/h",
              f"{e2e['optimised_days_per_hour']:.1f}/h", f"{e2e['speedup']:.1f}x"],
         ],
@@ -324,12 +403,14 @@ def test_hotpath(benchmark, figure_metrics, monkeypatch):
     figure_metrics["skyline_schedule"] = skyline
     figure_metrics["skyline_schedule_builds"] = builds
     figure_metrics["recovery_commit"] = commit
+    figure_metrics["recovery_snapshot"] = snapshot
     figure_metrics["full_sim_day"] = e2e
     benchmark.extra_info.update(
         gain_speedup=gain["speedup"],
         skyline_speedup=skyline["speedup"],
         skyline_builds_speedup=builds["speedup"],
         recovery_commit_speedup=commit["speedup"],
+        recovery_snapshot_speedup=snapshot["speedup"],
         e2e_speedup=e2e["speedup"],
     )
 
@@ -339,4 +420,5 @@ def test_hotpath(benchmark, figure_metrics, monkeypatch):
     assert skyline["speedup"] >= 1.2
     assert builds["speedup"] >= 10.0
     assert commit["speedup"] >= 5.0
+    assert snapshot["speedup"] >= 1.5
     assert e2e["speedup"] >= 1.5

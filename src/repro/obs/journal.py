@@ -18,6 +18,11 @@ from __future__ import annotations
 import json
 from pathlib import Path
 
+#: The canonical JSON text of one record: sorted keys, no spaces. One
+#: shared encoder, because ``json.dumps`` with options builds a new
+#: ``JSONEncoder`` per call; the recovery WAL encodes its bodies with it.
+canonical_json = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
+
 
 class Journal:
     """No-op journal: default sink for every instrumented component."""
@@ -58,10 +63,7 @@ class RecordingJournal(Journal):
         return {name: counts[name] for name in sorted(counts)}
 
     def to_jsonl(self) -> str:
-        return "".join(
-            json.dumps(record, sort_keys=True, separators=(",", ":")) + "\n"
-            for record in self.events
-        )
+        return "".join(canonical_json(record) + "\n" for record in self.events)
 
     def write_jsonl(self, path: str | Path) -> None:
         Path(path).write_text(self.to_jsonl())

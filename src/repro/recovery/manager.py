@@ -5,7 +5,10 @@ One :class:`RecoveryManager` is attached to a :class:`QaaSService` as its
 write-ahead log and, at commit boundaries (the end of each service
 iteration), appends a commit record carrying digests of the tuning state
 and periodically pickles the *entire* run — service, loop state and the
-process-global knapsack memo — into an atomic snapshot.
+process-global knapsack memo — into an atomic snapshot. The obs sinks'
+append-only lists (journal events, tracer spans and instants) are the
+one exception: each snapshot appends only what they gained since the
+previous one to a framed segment file, and pickles the run without them.
 
 Resume is **replay by re-execution**: the simulator is fully
 deterministic under a fixed seed, so instead of interpreting WAL records
@@ -36,10 +39,14 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Any
 
+from repro.obs import Observation, RecordingJournal, RecordingTracer
 from repro.recovery.hooks import NOOP_RECOVERY, RecoveryLog
 from repro.recovery.snapshot import (
+    append_chunk,
+    cut_segment,
     list_snapshots,
     prune_snapshots,
+    read_chunks,
     read_snapshot,
     write_snapshot,
 )
@@ -48,7 +55,7 @@ from repro.recovery.wal import WalRecord, WriteAheadLog, encode_body
 #: Version of the manifest and snapshot layout. Bump it whenever a pickled
 #: class changes shape, so resume refuses an old run directory at its
 #: manifest instead of failing part-way through unpickling a snapshot.
-FORMAT_VERSION = 2
+FORMAT_VERSION = 3
 
 #: Snapshots retained per run directory (older ones are pruned).
 SNAPSHOT_KEEP = 3
@@ -59,7 +66,46 @@ DEFAULT_SNAPSHOT_EVERY = 8
 MANIFEST_NAME = "manifest.json"
 CONFIG_NAME = "config.pkl"
 WAL_NAME = "wal.jsonl"
+SEGMENT_NAME = "obs-segment.bin"
 SIDECAR_NAME = "recovery-state.json"
+
+#: Entry counts of the three obs lists a segment carries, in chunk order.
+ObsCounts = tuple[int, int, int]
+ObsLists = tuple[list[Any], list[Any], list[Any]]
+
+
+def obs_lists(obs: Observation) -> ObsLists | None:
+    """The append-only lists of recording obs sinks, in chunk order:
+    journal events, tracer spans, tracer instants (``None`` unless both
+    sinks record)."""
+    journal, tracer = obs.journal, obs.tracer
+    if not isinstance(journal, RecordingJournal) or not isinstance(tracer, RecordingTracer):
+        return None
+    return journal.events, tracer.spans, tracer.instants
+
+
+def segment_chunk(lists: ObsLists, starts: ObsCounts) -> bytes:
+    """One pickled segment chunk: each list's start count and its
+    entries past that count."""
+    return pickle.dumps(
+        tuple((start, entries[start:]) for start, entries in zip(starts, lists)),
+        protocol=pickle.HIGHEST_PROTOCOL,
+    )
+
+
+def rebuild_obs_lists(chunks: list[bytes], counts: ObsCounts) -> ObsLists | None:
+    """The lists ``chunks`` rebuild, or ``None`` unless the chunks chain
+    from zero (each starts where the previous one ended) up to exactly
+    ``counts``."""
+    lists: ObsLists = ([], [], [])
+    for chunk in chunks:
+        for entries, (start, tail) in zip(lists, pickle.loads(chunk)):
+            if start != len(entries):
+                return None
+            entries.extend(tail)
+    if tuple(len(entries) for entries in lists) != counts:
+        return None
+    return lists
 
 
 class RecoveryError(RuntimeError):
@@ -141,6 +187,8 @@ class RecoveryManager(RecoveryLog):
         position: int = 0,
         replay_suffix: list[WalRecord] | None = None,
         stats: RecoveryStats | None = None,
+        segment_bytes: int = 0,
+        obs_counts: ObsCounts = (0, 0, 0),
     ) -> None:
         if snapshot_every < 1:
             raise ValueError("snapshot_every must be >= 1")
@@ -159,6 +207,10 @@ class RecoveryManager(RecoveryLog):
         #: state digest). It lives on the manager, which a snapshot
         #: detaches, so it is never pickled and a resumed run starts cold.
         self._digests: dict[str, tuple[Any, int, str]] = {}
+        #: Byte length of the obs segment, and the obs list counts its
+        #: chunks reach (restored from the snapshot on resume).
+        self._segment_bytes = segment_bytes
+        self._obs_counts = obs_counts
 
     # ------------------------------------------------------------------
     # Lifecycle
@@ -203,6 +255,7 @@ class RecoveryManager(RecoveryLog):
         (root / CONFIG_NAME).write_bytes(
             pickle.dumps(config, protocol=pickle.HIGHEST_PROTOCOL)
         )
+        (root / SEGMENT_NAME).write_bytes(b"")
         wal = WriteAheadLog(root / WAL_NAME, fsync=fsync)
         return cls(root, wal, snapshot_every=snapshot_every)
 
@@ -211,11 +264,12 @@ class RecoveryManager(RecoveryLog):
         """Restore a crashed run directory to a continuable state.
 
         Opens the WAL (truncating any torn tail), restores the newest
-        snapshot whose logical position is covered by the valid log, and
-        positions the manager on the remaining record suffix for
-        verified re-execution. With no usable snapshot the caller gets a
-        cold resume: rebuild the run from the manifest and replay the
-        whole log.
+        snapshot whose logical position is covered by the valid log and
+        whose obs segment prefix reads back whole, cuts the segment to
+        that prefix, and positions the manager on the remaining record
+        suffix for verified re-execution. With no usable snapshot the
+        caller gets a cold resume: rebuild the run from the manifest and
+        replay the whole log.
         """
         root = Path(directory)
         manifest_path = root / MANIFEST_NAME
@@ -238,6 +292,8 @@ class RecoveryManager(RecoveryLog):
         state = None
         snapshot_iteration = None
         position = 0
+        segment_bytes = 0
+        obs_counts: ObsCounts = (0, 0, 0)
         for iteration, path in list_snapshots(root):
             payload = read_snapshot(path)
             if payload is None:
@@ -249,17 +305,32 @@ class RecoveryManager(RecoveryLog):
                 # Snapshot claims records the (truncated) log no longer
                 # holds — cannot verify a replay against it; skip.
                 continue
+            segment_bytes, obs_counts = blob["segment"]
+            chunks = read_chunks(root / SEGMENT_NAME, segment_bytes)
+            rebuilt = None if chunks is None else rebuild_obs_lists(chunks, obs_counts)
+            if rebuilt is None:
+                # The segment prefix it names is short, torn or corrupt.
+                continue
             from repro.interleave.knapsack import restore_knapsack_cache
 
             restore_knapsack_cache(blob["knapsack"])
             service = blob["service"]
             state = blob["state"]
+            lists = obs_lists(service.obs)
+            if lists is not None:
+                for entries, restored in zip(lists, rebuilt):
+                    entries[:] = restored
             position = int(blob["wal_position"])
             snapshot_iteration = iteration
             stats.snapshots_restored += 1
             break
         if service is None:
             stats.cold_resumes += 1
+            segment_bytes, obs_counts = 0, (0, 0, 0)
+        # Chunks past the restored snapshot (a crash between a chunk's
+        # append and its snapshot's publication, or a skipped newer
+        # snapshot) are re-appended by the re-execution.
+        cut_segment(root / SEGMENT_NAME, segment_bytes)
         manager = cls(
             root,
             wal,
@@ -267,6 +338,8 @@ class RecoveryManager(RecoveryLog):
             position=position,
             replay_suffix=wal.existing[position:],
             stats=stats,
+            segment_bytes=segment_bytes,
+            obs_counts=obs_counts,
         )
         manager._save_sidecar()
         if service is not None:
@@ -354,12 +427,28 @@ class RecoveryManager(RecoveryLog):
             iteration=state.i,
             wal_position=self._position,
         )
+        # The obs lists only ever grow, so their entries past the last
+        # chunk are all the segment lacks. The chunk is durable before
+        # write_snapshot publishes the snapshot that names it.
+        lists = obs_lists(service.obs)
+        if lists is not None:
+            chunk = segment_chunk(lists, self._obs_counts)
+            self._segment_bytes += append_chunk(self.directory / SEGMENT_NAME, chunk)
+            self._obs_counts = (len(lists[0]), len(lists[1]), len(lists[2]))
+        write_snapshot(self.directory, state.i, self._dumps(service, state, lists))
+        prune_snapshots(self.directory, SNAPSHOT_KEEP)
+        self._save_sidecar()
+
+    def _dumps(self, service: Any, state: Any, detach: ObsLists | None) -> bytes:
+        """The snapshot payload: the run pickled with the obs lists in
+        ``detach`` (the segment carries them) swapped for empty lists."""
         from repro.interleave.knapsack import export_knapsack_cache
 
         blob = {
             "format": FORMAT_VERSION,
             "iteration": state.i,
             "wal_position": self._position,
+            "segment": (self._segment_bytes, self._obs_counts),
             "knapsack": export_knapsack_cache(),
             "service": service,
             "state": state,
@@ -370,13 +459,15 @@ class RecoveryManager(RecoveryLog):
         # state.metrics.registry IS service.obs.metrics — intact.
         previous = service.recovery
         service.recovery = NOOP_RECOVERY
+        journal, tracer = service.obs.journal, service.obs.tracer
+        if detach is not None:
+            journal.events, tracer.spans, tracer.instants = [], [], []
         try:
-            payload = pickle.dumps(blob, protocol=pickle.HIGHEST_PROTOCOL)
+            return pickle.dumps(blob, protocol=pickle.HIGHEST_PROTOCOL)
         finally:
             service.recovery = previous
-        write_snapshot(self.directory, state.i, payload)
-        prune_snapshots(self.directory, SNAPSHOT_KEEP)
-        self._save_sidecar()
+            if detach is not None:
+                journal.events, tracer.spans, tracer.instants = detach
 
     # ------------------------------------------------------------------
     # Helpers

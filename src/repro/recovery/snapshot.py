@@ -1,4 +1,4 @@
-"""Checksummed snapshots with atomic rename.
+"""Checksummed snapshots with atomic rename, and the append-only segment.
 
 A snapshot is the pickled full tuning state of a run at one iteration
 boundary (service + loop state + the process-global knapsack memo),
@@ -8,6 +8,12 @@ mid-write leaves at worst a stale temp file, never a half-written
 snapshot under the real name. Readers validate magic + checksum and
 report corruption as "snapshot unusable" rather than an exception, so
 the resume path can fall back to an older snapshot (or a cold replay).
+
+A *segment* is an append-only file of chunks, each framed as
+``<length:u32 BE> <crc32:u32 BE> <payload>``. A snapshot names the
+segment prefix it rests on by its byte length; reading that prefix
+back either yields every chunk payload in it or, when the prefix is
+short, torn or fails a checksum, ``None``.
 """
 
 from __future__ import annotations
@@ -21,6 +27,7 @@ from pathlib import Path
 from repro.recovery.hooks import crash_point
 
 _MAGIC = b"RPSN1\n"
+_CHUNK_HEADER = struct.Struct(">II")
 _NAME_RE = re.compile(r"^snapshot-(\d{8})\.ckpt$")
 
 
@@ -84,3 +91,54 @@ def prune_snapshots(directory: str | Path, keep: int) -> int:
         path.unlink(missing_ok=True)
         removed += 1
     return removed
+
+
+def append_chunk(path: str | Path, payload: bytes) -> int:
+    """Durably append ``payload`` as one framed chunk; returns its size.
+
+    The chunk is flushed and fsynced before this returns, so a snapshot
+    published afterwards never names segment bytes a crash can lose.
+    """
+    frame = _CHUNK_HEADER.pack(len(payload), zlib.crc32(payload)) + payload
+    with open(path, "ab") as file:
+        file.write(frame)
+        file.flush()
+        os.fsync(file.fileno())
+    return len(frame)
+
+
+def read_chunks(path: str | Path, length: int) -> list[bytes] | None:
+    """The chunk payloads of the segment's first ``length`` bytes.
+
+    ``None`` when the file is shorter than ``length``, a frame runs past
+    it, or a checksum fails: the prefix is not the one a snapshot named.
+    """
+    try:
+        with open(path, "rb") as file:
+            raw = file.read(length)
+    except OSError:
+        return None
+    if len(raw) != length:
+        return None
+    chunks: list[bytes] = []
+    offset = 0
+    while offset < length:
+        if offset + _CHUNK_HEADER.size > length:
+            return None
+        size, crc = _CHUNK_HEADER.unpack_from(raw, offset)
+        start = offset + _CHUNK_HEADER.size
+        offset = start + size
+        payload = raw[start:offset]
+        if offset > length or zlib.crc32(payload) != crc:
+            return None
+        chunks.append(payload)
+    return chunks
+
+
+def cut_segment(path: str | Path, length: int) -> None:
+    """Cut the segment back to its first ``length`` bytes (creating an
+    empty one when missing); ``length`` must not exceed its size."""
+    with open(path, "ab") as file:
+        if length > file.tell():
+            raise ValueError(f"cannot cut {path} of {file.tell()} bytes to {length}")
+        file.truncate(length)

@@ -6,7 +6,7 @@ record::
     <length:08x> <crc32:08x> <json>\\n
 
 where ``length`` is the byte length of the UTF-8 JSON body and ``crc32``
-its checksum. The body is serialised exactly like the obs journal
+its checksum. The body is serialised by the obs journal's own encoder
 (sorted keys, fixed separators), so a record's bytes are a pure function
 of its payload — which is what lets resume *verify* replayed mutations
 against the log byte for byte.
@@ -26,12 +26,13 @@ import zlib
 from dataclasses import dataclass
 from pathlib import Path
 
+from repro.obs.journal import canonical_json
 from repro.recovery.hooks import active_crash_plan
 
 
 def encode_body(payload: dict[str, object]) -> str:
     """Canonical JSON body of one record (sorted keys, no spaces)."""
-    return json.dumps(payload, sort_keys=True, separators=(",", ":"))
+    return canonical_json(payload)
 
 
 def frame_record(body: str) -> bytes:

@@ -8,6 +8,7 @@ byte-identical to the uninterrupted run of the same seed.
 from __future__ import annotations
 
 import json
+import pickle
 import zlib
 from dataclasses import replace
 
@@ -26,6 +27,13 @@ from repro.recovery import (
     scan_wal,
 )
 from repro.recovery.chaos import _metrics_fingerprint
+from repro.recovery.manager import SEGMENT_NAME, obs_lists, rebuild_obs_lists
+from repro.recovery.snapshot import (
+    list_snapshots,
+    read_chunks,
+    read_snapshot,
+    snapshot_path,
+)
 from repro.recovery.wal import frame_record
 
 from tests.golden import hooked_config
@@ -248,8 +256,16 @@ def _hooked_run(directory):
 
 
 @pytest.fixture(scope="module")
-def hooked_reference(tmp_path_factory):
-    metrics, obs = _hooked_run(tmp_path_factory.mktemp("hooked"))
+def hooked_finished(tmp_path_factory):
+    """One uninterrupted hooked run: its directory, metrics and obs."""
+    directory = tmp_path_factory.mktemp("hooked")
+    metrics, obs = _hooked_run(directory)
+    return directory, metrics, obs
+
+
+@pytest.fixture(scope="module")
+def hooked_reference(hooked_finished):
+    _, metrics, obs = hooked_finished
     return _metrics_fingerprint(metrics), artifacts_of(obs)
 
 
@@ -270,6 +286,142 @@ def test_hooked_run_resumes_identically_across_a_snapshot(tmp_path, hooked_refer
     metrics = _drive(resumed.service, state)
     assert _metrics_fingerprint(metrics) == hooked_reference[0]
     assert artifacts_of(resumed.service.obs) == hooked_reference[1]
+
+
+# ----------------------------------------------------------------------
+# The obs segment: each snapshot appends the obs lists' new entries
+# ----------------------------------------------------------------------
+def _segment_of(directory, iteration):
+    """(segment bytes, obs counts) the snapshot of ``iteration`` names."""
+    blob = pickle.loads(read_snapshot(snapshot_path(directory, iteration)))
+    return blob["segment"]
+
+
+def _finish_resumed(directory, hooked_reference, restored):
+    resumed = RecoveryManager.resume(directory)
+    assert resumed.snapshot_iteration == restored
+    metrics = _drive(resumed.service, resumed.state)
+    assert _metrics_fingerprint(metrics) == hooked_reference[0]
+    assert artifacts_of(resumed.service.obs) == hooked_reference[1]
+
+
+def test_hooked_crash_before_publishing_a_snapshot_cuts_its_chunk(
+    tmp_path, hooked_reference
+):
+    """Killed after the second snapshot's chunk is durable but before the
+    snapshot is published: resume restores the base snapshot and cuts
+    the orphaned chunk, and the run still ends byte-identical."""
+    install_crash_plan(CrashPlan(point="recovery.pre_snapshot", hit=2, hard=False))
+    with pytest.raises(SimulatedCrash):
+        _hooked_run(tmp_path)
+    install_crash_plan(None)
+    segment = tmp_path / SEGMENT_NAME
+    length, _ = _segment_of(tmp_path, 0)
+    assert [i for i, _ in list_snapshots(tmp_path)] == [0]
+    assert len(read_chunks(segment, segment.stat().st_size)) == (
+        len(read_chunks(segment, length)) + 1
+    )
+    resumed = RecoveryManager.resume(tmp_path)
+    assert resumed.snapshot_iteration == 0
+    assert segment.stat().st_size == length
+    metrics = _drive(resumed.service, resumed.state)
+    assert _metrics_fingerprint(metrics) == hooked_reference[0]
+    assert artifacts_of(resumed.service.obs) == hooked_reference[1]
+
+
+@pytest.mark.parametrize("damage", ["truncate", "flip"])
+def test_hooked_resume_skips_a_snapshot_whose_chunk_is_damaged(
+    tmp_path, hooked_reference, damage
+):
+    """A torn or corrupted last chunk makes the newest snapshot unusable:
+    resume falls back to the previous one."""
+    install_crash_plan(CrashPlan(point="service.post_commit", hit=10, hard=False))
+    with pytest.raises(SimulatedCrash):
+        _hooked_run(tmp_path)
+    install_crash_plan(None)
+    segment = tmp_path / SEGMENT_NAME
+    previous, _ = _segment_of(tmp_path, 4)
+    newest, _ = _segment_of(tmp_path, 8)
+    assert segment.stat().st_size == newest > previous
+    raw = bytearray(segment.read_bytes())
+    if damage == "truncate":
+        del raw[(previous + newest) // 2:]
+    else:
+        raw[(previous + newest) // 2] ^= 0x01
+    segment.write_bytes(bytes(raw))
+    _finish_resumed(tmp_path, hooked_reference, restored=4)
+
+
+@pytest.mark.parametrize(
+    ("point", "hit", "restored"),
+    [("service.post_commit", 10, 8), ("recovery.pre_snapshot", 3, 4)],
+)
+def test_hooked_second_crash_resumes_from_the_newest_snapshot(
+    tmp_path, hooked_reference, point, hit, restored
+):
+    """Snapshots a resumed run writes name the segment the resume left:
+    a second crash restores the newest of them instead of falling back."""
+    install_crash_plan(CrashPlan(point=point, hit=hit, hard=False))
+    with pytest.raises(SimulatedCrash):
+        _hooked_run(tmp_path)
+    install_crash_plan(None)
+    resumed = RecoveryManager.resume(tmp_path)
+    assert resumed.snapshot_iteration == restored
+    # Two snapshots past the restored one: after a missing cut, the
+    # first of them could still read the stale copy of its own chunk.
+    install_crash_plan(CrashPlan(point="service.post_commit", hit=9, hard=False))
+    with pytest.raises(SimulatedCrash):
+        _drive(resumed.service, resumed.state)
+    install_crash_plan(None)
+    newest = restored + 9 - (restored + 9) % HOOKED_SNAPSHOT_EVERY
+    assert newest == restored + 2 * HOOKED_SNAPSHOT_EVERY
+    assert list_snapshots(tmp_path)[0][0] == newest
+    _finish_resumed(tmp_path, hooked_reference, restored=newest)
+
+
+def test_segment_rebuilds_a_prefix_of_the_live_obs_lists(hooked_finished):
+    """The premise of the segment: nothing mutates an obs entry after
+    appending it, so each snapshot's segment prefix rebuilds exactly the
+    first entries of the finished run's journal, spans and instants."""
+    directory, _, obs = hooked_finished
+    live = obs_lists(obs)
+    snapshots = list_snapshots(directory)
+    assert len(snapshots) == 3
+    for iteration, _ in snapshots:
+        length, counts = _segment_of(directory, iteration)
+        rebuilt = rebuild_obs_lists(read_chunks(directory / SEGMENT_NAME, length), counts)
+        assert all(counts)
+        for entries, everything, count in zip(rebuilt, live, counts):
+            assert entries == everything[:count]
+
+
+def test_snapshot_leaves_the_obs_lists_to_the_segment(tmp_path):
+    """Journal events emitted between two snapshots grow the segment,
+    not the snapshot."""
+    config = small_config()
+    manager = RecoveryManager.start(
+        tmp_path, config, strategy="gain", generator="phase",
+        interleaver="lp", obs_enabled=True,
+    )
+    obs = Observation.recording()
+    service, events = prepare_run(
+        Strategy.GAIN, config=config, obs=obs, recovery=manager
+    )
+    state = service.begin_run(events)
+    assert service.step(state) and service.step(state)
+    sizes = []
+    for burst in (0, 3000):
+        for k in range(burst):
+            obs.journal.emit("synthetic", t=0.0, k=k, label=f"event-{k}")
+        manager._snapshot(service, state, 0.0)
+        sizes.append((
+            snapshot_path(tmp_path, state.i).stat().st_size,
+            (tmp_path / SEGMENT_NAME).stat().st_size,
+        ))
+    manager.close()
+    (snapshot_before, segment_before), (snapshot_after, segment_after) = sizes
+    assert snapshot_after - snapshot_before < 1024
+    assert segment_after - segment_before > 3000 * 20
 
 
 def test_pending_decisions_keep_only_the_gains_of_their_builds():

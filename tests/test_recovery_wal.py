@@ -17,8 +17,11 @@ from repro.recovery.hooks import (
     install_crash_plan,
 )
 from repro.recovery.snapshot import (
+    append_chunk,
+    cut_segment,
     list_snapshots,
     prune_snapshots,
+    read_chunks,
     read_snapshot,
     snapshot_path,
     write_snapshot,
@@ -131,6 +134,64 @@ class TestSnapshots:
         assert [i for i, _ in list_snapshots(tmp_path)] == [9, 5]
         with pytest.raises(ValueError):
             prune_snapshots(tmp_path, keep=0)
+
+
+class TestSegment:
+    PAYLOADS = [b"first chunk", b"", b"third" * 50, bytes(range(256))]
+
+    def _write(self, path):
+        ends = []
+        for payload in self.PAYLOADS:
+            ends.append((ends[-1] if ends else 0) + append_chunk(path, payload))
+        return ends
+
+    def test_chunks_round_trip(self, tmp_path):
+        path = tmp_path / "segment"
+        ends = self._write(path)
+        assert ends[-1] == path.stat().st_size
+        assert ends[0] == 8 + len(self.PAYLOADS[0])  # length + crc32 header
+        assert read_chunks(path, ends[-1]) == self.PAYLOADS
+        assert read_chunks(path, 0) == []
+
+    def test_prefix_read_stops_at_the_named_length(self, tmp_path):
+        path = tmp_path / "segment"
+        ends = self._write(path)
+        for k, end in enumerate(ends):
+            assert read_chunks(path, end) == self.PAYLOADS[: k + 1]
+        # A length inside a frame names no chunk boundary.
+        assert read_chunks(path, ends[2] - 1) is None
+        assert read_chunks(path, ends[1] + 3) is None
+
+    def test_short_file_reads_as_none(self, tmp_path):
+        path = tmp_path / "segment"
+        ends = self._write(path)
+        path.write_bytes(path.read_bytes()[: ends[-1] - 1])
+        assert read_chunks(path, ends[-1]) is None
+        assert read_chunks(path, ends[-2]) == self.PAYLOADS[:-1]
+        assert read_chunks(tmp_path / "missing", 8) is None
+
+    def test_bad_crc_reads_as_none(self, tmp_path):
+        path = tmp_path / "segment"
+        ends = self._write(path)
+        raw = bytearray(path.read_bytes())
+        raw[ends[2] + 8] ^= 0xFF  # first payload byte of the last chunk
+        path.write_bytes(bytes(raw))
+        assert read_chunks(path, ends[-1]) is None
+        assert read_chunks(path, ends[2]) == self.PAYLOADS[:3]
+
+    def test_cut_drops_the_chunks_past_the_length(self, tmp_path):
+        path = tmp_path / "segment"
+        ends = self._write(path)
+        cut_segment(path, ends[1])
+        assert path.stat().st_size == ends[1]
+        assert read_chunks(path, ends[1]) == self.PAYLOADS[:2]
+        # Appends continue from the cut.
+        end = ends[1] + append_chunk(path, b"after the cut")
+        assert read_chunks(path, end) == [*self.PAYLOADS[:2], b"after the cut"]
+        with pytest.raises(ValueError, match="cannot cut"):
+            cut_segment(path, end + 1)
+        cut_segment(tmp_path / "fresh", 0)
+        assert (tmp_path / "fresh").read_bytes() == b""
 
 
 class TestCrashPlans:
