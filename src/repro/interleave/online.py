@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from repro.dataflow.graph import Dataflow
 from repro.interleave.lp import InterleavedSchedule, update_runtimes_for_indexes
-from repro.interleave.slots import BuildCandidate, parse_build_op_name
+from repro.interleave.slots import BuildCandidate
 from repro.obs import NOOP_OBS, Observation
 from repro.scheduling.schedule import Schedule
 from repro.scheduling.skyline import SkylineScheduler
@@ -51,13 +51,15 @@ def online_interleave(
         build_assignments = []
         scheduled = []
         dataflow_assignments = []
+        # Every build operator in the dataflow is a candidate, so the
+        # candidates' names tell builds from dataflow operators.
         for a in sched.assignments:
-            parsed = parse_build_op_name(a.op_name)
-            if parsed is None:
+            cand = by_name.get(a.op_name)
+            if cand is None:
                 dataflow_assignments.append(a)
             else:
                 build_assignments.append(a)
-                scheduled.append(by_name[a.op_name])
+                scheduled.append(cand)
         base = Schedule(
             dataflow=dataflow, pricing=sched.pricing, assignments=dataflow_assignments
         )

@@ -8,6 +8,7 @@ build operators run).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 from repro.dataflow.operator import BUILD_INDEX_PRIORITY, Operator
 from repro.scheduling.schedule import Assignment, IdleSlot, Schedule
@@ -37,8 +38,9 @@ class BuildCandidate:
         if self.duration_s <= 0:
             raise ValueError("build duration must be positive")
 
-    @property
+    @cached_property
     def op_name(self) -> str:
+        """The build operator's name, formatted once per candidate."""
         return f"{BUILD_OP_PREFIX}{self.index_name}::p{self.partition_id:05d}"
 
     def to_operator(self) -> Operator:

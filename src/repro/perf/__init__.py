@@ -50,8 +50,8 @@ class CacheStats:
         self.misses = 0
         self.invalidations = 0
 
-    def hit(self) -> None:
-        self.hits += 1
+    def hit(self, count: int = 1) -> None:
+        self.hits += count
 
     def miss(self) -> None:
         self.misses += 1

@@ -26,33 +26,38 @@ in ``tests/differential/oracle.py``):
   first use (a fresh container is always the next id), so a partial's
   per-container state is one list, and each container's lease quanta and
   tail gap are computed once, when a move lands on it;
-* one scoring loop serves every step. An operator's ready time on a
-  container that holds none of its placed inputs is the largest remote
-  arrival; it is computed once per parent, and only containers holding
-  an input get their own;
+* an operator's ready time on a container that holds none of its placed
+  inputs is the largest remote arrival; it is computed once per parent,
+  and only containers holding an input get their own;
 * a required operator's moves are scored as plain tuples, sorted by
   (time, money, entry order) and swept into a Pareto front; only the at
-  most ``max_skyline`` moves kept are copied into partials. The idle
-  tie-break is scored only for exact (time, money) ties at the head of a
-  group that enters the front, in O(1) per move from its parent's two
-  largest lease-tail gaps. (Every partial entering a required step holds
-  the same number of assignments, because optional operators come last,
-  so the reference's -#ops key never separates two moves there.)
-* an optional operator settles each parent in one pass: the parent
-  becomes its best same-money move — the most sequential idle, the first
-  in container order on a tie — or stays as it is. No move is kept as a
-  row, sorted or swept, and the move is applied to the parent in place,
-  because a parent has exactly one successor in an optional step;
+  most ``max_skyline`` moves kept are copied into partials. The scoring
+  loop compares floats directly where the reference called ``max``,
+  picking the operand ``max`` picks, so every score is the same float.
+  The idle tie-break is scored only for exact (time, money) ties at the
+  head of a group that enters the front, in O(1) per move from its
+  parent's two largest lease-tail gaps. (Every partial entering a
+  required step holds the same number of assignments, because optional
+  operators come last, so the reference's -#ops key never separates two
+  moves there.)
+* the optional operators, which come last, are settled per parent in one
+  call, in operator order: at each, the parent becomes its best
+  same-money move — the most sequential idle, the first in container
+  order on a tie — or stays as it is. No move is kept as a row, sorted
+  or swept, and the move is applied to the parent in place. Candidate
+  containers come from an index over the parent's lease slack, and the
+  scan stops early once no later container can score higher (below);
 * a partial records its moves as a parent-linked chain of plain
   ``(previous, op name, container, start, end)`` nodes that its copies
   share, so applying a move adds one node. ``Assignment`` objects are
   built once, in placement order, for the partials ``schedule`` returns.
 
-Why the one-pass optional step is exact. The skyline entering a step is
-a strict front: ``time_end / tq`` strictly increases and ``money_quanta``
-strictly decreases along it, because the sweep admits an entry only when
-its money is below every earlier one's, the cap keeps a subsequence, and
-an optional step keeps every parent's time and money. An optional move never changes ``time_end``, and it never lowers money:
+Why the per-parent optional settle is exact. The skyline entering a step
+is a strict front: ``time_end / tq`` strictly increases and
+``money_quanta`` strictly decreases along it, because the sweep admits an
+entry only when its money is below every earlier one's, the cap keeps a
+subsequence, and an optional step keeps every parent's time and money.
+An optional move never changes ``time_end``, and it never lowers money:
 the new lease end is at least the old one, and a fresh container costs at
 least one quantum. So a move that raises money sorts after its parent's
 pass-through (same time, more money) and is never admitted. The
@@ -61,13 +66,51 @@ which sorts just ahead of P's pass-through (t_P, m_P, -n_P). Keys differ
 across parents, so those moves tie with nothing from another parent. The
 front therefore holds exactly one entry per parent, in parent order —
 the best same-money move where there is one, else the pass-through — and
-the cap never fires.
+the cap never fires. Each parent thus has exactly one successor at every
+optional step, computed from that parent alone, and optional operators
+come after every required one; so settling one parent through the whole
+run of optional operators gives the same partials, in the same order, as
+settling every parent one operator at a time. An optional move opens no
+container, so ``scheduler/partials_branched`` still adds, per optional
+operator, every used container, a fresh one under the cap, and the
+pass-through of each parent.
+
+Why the slack index drops no fitting container. A container's lease
+slack is ``old_q * tq - avail``: its leased end minus its last end. A
+move starts at ``start >= avail``, so it keeps the lease end (the fit
+test ``new_q == old_q``) only if ``avail + duration`` reaches at most
+``old_q * tq`` plus the test's tolerance, ``1e-9`` of a quantum. Slack at
+least ``duration - margin`` is therefore necessary, with ``margin`` that
+tolerance plus a bound on the rounding in the fit test and in the slack:
+``1e-12`` of the partial's latest lease end, many times the few units in
+the last place either can be off by. A fixed margin is wrong: a build
+that overruns its slack by 2 µs fits an hour-long quantum (tolerance
+3.6 µs). A bisect over the prefix max of the slacks finds the first
+container that passes; the unchanged fit test and idle score then decide
+every container that passes, in container order, keeping the first on a
+tie. A move keeps its container's lease end, so after it only that
+container's slack, the prefix max from it on and the two largest tails
+change.
+
+Why the early exit is exact. For a build without in-edges a move starts
+at ``avail``, so its closed gap stays the parent's ``closed``. Its score
+is then ``max(closed, the largest other tail, its new tail)``, and the new
+tail is at most its slack minus the duration, up to the same rounding.
+No container can score more than ``max(closed, first, max slack -
+duration + margin)``, with ``first`` the parent's largest tail; once the
+best score reaches that, no later container scores strictly higher, so
+the scan stops. The bound must use slack, not tail: a zero-runtime
+operator alone on a container at a quantum boundary leaves a lease that
+runs a quantum past its stored tail of zero. A build with in-edges can
+open a closed gap, so it scans every container that passes the filter.
 """
 
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from dataclasses import dataclass, field
+from itertools import accumulate
 
 from repro.cloud.container import ContainerSpec, PAPER_CONTAINER
 from repro.cloud.pricing import PricingModel
@@ -191,26 +234,31 @@ class SkylineScheduler:
         order = self._ready_order(dataflow)
         in_edges = dataflow.in_edges_map()
         durations = self._op_durations(dataflow)
+        operators = dataflow.operators
         skyline: list[_Partial] = [_Partial()]
         branched_total = 0
-        for op_name in order:
-            op = dataflow.operators[op_name]
-            duration = durations[op_name]
-            edges = in_edges[op_name]
-            # Every used container, plus a fresh one under the cap.
-            for partial in skyline:
-                branched_total += min(len(partial.containers) + 1, self.max_containers)
+        for position, op_name in enumerate(order):
+            op = operators[op_name]
             if op.optional:
-                # Keeping an optional op unscheduled is allowed: each
-                # parent's pass-through partial counts as branched too.
-                branched_total += len(skyline)
-                skyline = [
-                    self._branch(partial, op, edges, duration, []) for partial in skyline
-                ]
-                continue
+                # Optional operators come last, and each of their steps
+                # gives every parent exactly one successor, so each parent
+                # settles the whole run of them on its own.
+                steps = [(operators[n], in_edges[n], durations[n]) for n in order[position:]]
+                for partial in skyline:
+                    # Per step: every used container, a fresh one under
+                    # the cap, and the pass-through. An optional move
+                    # never opens a container, so the count is the same
+                    # at every step.
+                    branched_total += len(steps) * (
+                        min(len(partial.containers) + 1, self.max_containers) + 1
+                    )
+                    self._settle(partial, steps)
+                break
             rows: list[_Move] = []
             for partial in skyline:
-                self._branch(partial, op, edges, duration, rows)
+                # Every used container, plus a fresh one under the cap.
+                branched_total += min(len(partial.containers) + 1, self.max_containers)
+                self._branch(partial, in_edges[op_name], durations[op_name], rows)
             skyline = [
                 self._apply(parent.branch(), op, cid, start, end, money, closed_gap)
                 for _, money, _, parent, cid, start, end, closed_gap in self._select(rows)
@@ -267,31 +315,19 @@ class SkylineScheduler:
             durations[name] = duration
         return durations
 
-    def _branch(
-        self,
-        partial: _Partial,
-        op: Operator,
-        edges: list[Edge],
-        duration: float,
-        rows: list[_Move],
-    ) -> _Partial:
-        """Score ``op`` on each candidate container of ``partial``, in
-        container order, without copying ``partial``.
+    def _ready_times(
+        self, partial: _Partial, edges: list[Edge]
+    ) -> tuple[float, dict[int, float]]:
+        """An operator's ready time on a container holding none of its
+        placed inputs (the largest remote arrival), and on each container
+        holding some (local ends for those, remote arrivals for the rest).
 
-        A required ``op`` appends every move to ``rows`` and returns
-        ``partial``. An optional ``op`` settles ``partial`` and returns
-        it: its best same-money move (the most sequential idle, the first
-        in container order on a tie) is applied to it in place, since an
-        optional step replaces each parent by exactly one successor;
-        when every move raises money, ``partial`` stays as it is. A
-        fresh container always raises money, so an optional ``op`` never
-        tries one.
+        Each ``if x > best: best = x`` keeps the operand ``max`` keeps.
         """
-        tq = self.pricing.quantum_seconds
-        # Ready time on a container holding none of the placed inputs:
-        # the largest remote arrival. A container holding some gets its
-        # own, from local ends for those and remote arrivals for the rest.
         remote = 0.0
+        held: dict[int, float] = {}
+        if not edges:
+            return remote, held
         placed: list[tuple[int, float, float]] = []
         for edge in edges:
             src = partial.op_placed.get(edge.src)
@@ -299,57 +335,133 @@ class SkylineScheduler:
                 src_cid, src_end = src
                 arrival = src_end + edge.data_mb / self.container.net_bw_mb_s
                 placed.append((src_cid, src_end, arrival))
-                remote = max(remote, arrival)
-        held: dict[int, float] = {}
+                if arrival > remote:
+                    remote = arrival
         for holder, _, _ in placed:
             if holder not in held:
                 ready = 0.0
                 for src_cid, local, arrival in placed:
-                    ready = max(ready, local if src_cid == holder else arrival)
+                    at = local if src_cid == holder else arrival
+                    if at > ready:
+                        ready = at
                 held[holder] = ready
-        optional = op.optional
+        return remote, held
+
+    def _branch(
+        self, partial: _Partial, edges: list[Edge], duration: float, rows: list[_Move]
+    ) -> None:
+        """Score a required operator on each candidate container of
+        ``partial``, in container order, appending every move to ``rows``
+        without copying ``partial``.
+
+        Each conditional expression in the loop stands in for a ``max``
+        call and returns the operand ``max`` returns, so the scores are
+        the same floats.
+        """
+        tq = self.pricing.quantum_seconds
+        ceil = math.ceil
+        append = rows.append
+        remote, held = self._ready_times(partial, edges)
+        containers = partial.containers
+        readies = [remote] * len(containers)
+        for holder, ready in held.items():
+            readies[holder] = ready
         time_end = partial.time_end
         money = partial.money_quanta
         closed = partial.max_closed_gap
-        best: tuple[int, float, float, float] | None = None
-        best_idle = -math.inf
-        tops: tuple[float, int, float] | None = None
         # Moves are numbered in entry order across the step's parents.
         entry = len(rows)
-        for cid, (avail, start_q, old_q, _) in enumerate(partial.containers):
-            start = max(held.get(cid, remote), avail)
+        for cid, ((avail, start_q, old_q, _), ready) in enumerate(zip(containers, readies)):
+            start = avail if avail > ready else ready
             end = start + duration
-            new_q = max(start_q + 1, math.ceil(end / tq - 1e-9))
-            if not optional:
-                rows.append((
-                    max(time_end, end) / tq, money + (new_q - old_q), entry + cid,
-                    partial, cid, start, end, max(closed, start - avail),
-                ))
-            elif new_q == old_q:
-                closed_gap = max(closed, start - avail)
-                if tops is None:
-                    tops = self._top_tails(partial)
-                idle = self._idle(tops, cid, end, closed_gap)
-                if idle > best_idle:
-                    best, best_idle = (cid, start, end, closed_gap), idle
-        if optional:
-            if best is None:
-                return partial
-            cid, start, end, closed_gap = best
-            return self._apply(partial, op, cid, start, end, money, closed_gap)
-        cid = len(partial.containers)
+            new_q = ceil(end / tq - 1e-9)
+            if new_q <= start_q:
+                new_q = start_q + 1
+            gap = start - avail
+            append((
+                (end if end > time_end else time_end) / tq, money + (new_q - old_q),
+                entry + cid, partial, cid, start, end, gap if gap > closed else closed,
+            ))
+        cid = len(containers)
         if cid < self.max_containers:
             start = remote
             start_q = math.floor(start / tq + 1e-9)
             end = start + duration
-            new_q = max(start_q + 1, math.ceil(end / tq - 1e-9))
+            new_q = max(start_q + 1, ceil(end / tq - 1e-9))
             # Head gap of a fresh lease: from the quantum boundary the
             # lease starts on to the operator's start.
-            rows.append((
+            append((
                 max(time_end, end) / tq, money + (new_q - start_q), entry + cid,
                 partial, cid, start, end, max(closed, start - start_q * tq),
             ))
-        return partial
+
+    def _settle(
+        self, partial: _Partial, steps: list[tuple[Operator, list[Edge], float]]
+    ) -> None:
+        """Settle ``partial`` over a run of optional operators, in order.
+
+        Each operator moves ``partial`` in place to its best same-money
+        move (the most sequential idle, the first in container order on a
+        tie), or leaves it as it is when every move raises money. A fresh
+        container always raises money, so none is tried. Candidates come
+        from an index over the containers' lease slack; the module
+        docstring shows why the filter and the early exit are exact.
+        """
+        containers = partial.containers
+        if not containers:
+            return
+        tq = self.pricing.quantum_seconds
+        ceil = math.ceil
+        # Lease slack per container and its prefix max, for the bisect.
+        slack = [old_q * tq - avail for avail, _, old_q, _ in containers]
+        reach = list(accumulate(slack, max))
+        # The fit test's tolerance, plus a bound on rounding in it and in
+        # the slack. No move changes a lease end, so neither does this.
+        margin = 1e-9 * tq + 1e-12 * max(old_q for _, _, old_q, _ in containers) * tq
+        tops = self._top_tails(partial)
+        money = partial.money_quanta
+        for op, edges, duration in steps:
+            need = duration - margin
+            first = bisect_left(reach, need)
+            if first == len(containers):
+                continue
+            remote, held = self._ready_times(partial, edges)
+            closed = partial.max_closed_gap
+            # Without in-edges a move leaves the closed gap as it is, so
+            # no move scores above this; with them, scan every candidate.
+            bound = math.inf if edges else max(closed, tops[0], reach[-1] - need)
+            best: tuple[int, float, float, float] | None = None
+            best_idle = -math.inf
+            for cid in range(first, len(containers)):
+                if slack[cid] < need:
+                    continue
+                avail, start_q, old_q, _ = containers[cid]
+                ready = held.get(cid, remote)
+                start = avail if avail > ready else ready
+                end = start + duration
+                if max(start_q + 1, ceil(end / tq - 1e-9)) != old_q:
+                    continue
+                gap = start - avail
+                closed_gap = gap if gap > closed else closed
+                idle = self._idle(tops, cid, end, closed_gap)
+                if idle > best_idle:
+                    best, best_idle = (cid, start, end, closed_gap), idle
+                    if best_idle >= bound:
+                        break
+            if best is None:
+                continue
+            cid, start, end, closed_gap = best
+            old_tail = containers[cid][3]
+            self._apply(partial, op, cid, start, end, money, closed_gap)
+            slack[cid] = containers[cid][2] * tq - end
+            run = reach[cid - 1] if cid else -math.inf
+            for j in range(cid, len(containers)):
+                if slack[j] > run:
+                    run = slack[j]
+                if reach[j] == run:
+                    break  # the prefix max from here on is unchanged
+                reach[j] = run
+            tops = self._retop(partial, tops, cid, old_tail)
 
     def _apply(
         self,
@@ -434,6 +546,31 @@ class SkylineScheduler:
         tq = self.pricing.quantum_seconds
         tail = math.ceil(end / tq - 1e-9) * tq - end
         return max(closed_gap, second if cid == first_cid else first, tail)
+
+    def _retop(
+        self, partial: _Partial, tops: tuple[float, int, float], cid: int, old_tail: float
+    ) -> tuple[float, int, float]:
+        """``tops`` after a move changed container ``cid``'s tail from
+        ``old_tail``; a rescan only when the first or the runner-up may
+        have shrunk.
+
+        :meth:`_idle` reads ``tops`` only as the largest tail of the
+        containers other than the moved one, so where the largest tail is
+        shared, which of its holders is named does not matter.
+        """
+        first, first_cid, second = tops
+        tail = partial.containers[cid][3]
+        if tail < old_tail:
+            if cid == first_cid or old_tail >= second:
+                return self._top_tails(partial)
+            return tops
+        if cid == first_cid:
+            return tail, cid, second
+        if tail > first:
+            return tail, cid, first
+        if tail > second:
+            return first, first_cid, tail
+        return tops
 
     def _top_tails(self, partial: _Partial) -> tuple[float, int, float]:
         """The largest lease-tail gap, its container and the runner-up

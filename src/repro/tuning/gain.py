@@ -207,6 +207,7 @@ class GainModel:
         self._build_time_cache: dict[str, tuple[int, float]] = {}
         # st(idx, W) and the index size are static per index.
         self._storage_cache: dict[str, float] = {}
+        self._read_cache: dict[str, float] = {}
 
     # ------------------------------------------------------------------
     # Building blocks
@@ -282,9 +283,17 @@ class GainModel:
         return value
 
     def index_read_quanta(self, index: Index) -> float:
-        """Time to read the full index from the storage service."""
-        size_mb = self.cost_model.index_size_mb(index.table, index.spec)
-        return self.pricing.quanta(size_mb / self.cost_model.container.net_bw_mb_s)
+        """Time to read the full index from the storage service.
+
+        Memoised per index name, like the storage cost: the index size
+        depends only on the index's table and spec.
+        """
+        cached = self._read_cache.get(index.name)
+        if cached is None:
+            size_mb = self.cost_model.index_size_mb(index.table, index.spec)
+            cached = self.pricing.quanta(size_mb / self.cost_model.container.net_bw_mb_s)
+            self._read_cache[index.name] = cached
+        return cached
 
     # ------------------------------------------------------------------
     # Equations 4, 5, 3

@@ -133,6 +133,12 @@ class DataflowHistory:
             del positions[: bisect_left(positions, self._head)]
         return positions
 
+    def newest_position(self, index_name: str) -> int:
+        """Global position of the newest record mentioning ``index_name``,
+        evicted or not (-1 when none has)."""
+        positions = self._by_index.get(index_name)
+        return positions[-1] if positions else -1
+
     def index_names(self) -> list[str]:
         """All indexes any *retained* recorded dataflow could use."""
         return sorted(

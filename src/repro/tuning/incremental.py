@@ -32,12 +32,36 @@ exactly from its window every :data:`REFRESH_EVERY` advances. The
 differential suite (``tests/differential/test_gain_oracle.py``) asserts
 agreement with the naive oracle within the repo's money/time epsilons
 under adversarial schedules.
+
+One pass per decision. A decision advances every index a dataflow in
+the window or in the queue could use (about 450 on the evaluation
+catalog), so :meth:`IncrementalGainEvaluator.faded_sums_many` advances
+them all in one loop, and :meth:`~IncrementalGainEvaluator.faded_sums`
+is its one-name case. The pass is bit-identical to advancing each index
+on its own, because it changes only how often a value is computed, never
+the expression or the order of the float operations on a state:
+
+* the decay factor ``exp(-(now - last_now)/tq / D)`` is a pure function
+  of ``(last_now, D)`` at one ``now``, so states advanced together from
+  the same previous decision share one computation of it;
+* an index whose newest record (``DataflowHistory.newest_position``)
+  precedes the state's consumed position has nothing to consume, so its
+  history lookup yields nothing and is skipped;
+* the per-decision constants (head and end positions, quantum, window)
+  are read once, and ``PricingModel.quanta`` is written out as its body,
+  one division by the quantum; hits are counted in one addition, and
+  misses and invalidations at the same events as before.
+
+``tests/differential/oracle.py`` keeps the per-index evaluator this
+pass replaced; the differential suite requires equal floats and equal
+cache counts at every decision.
 """
 
 from __future__ import annotations
 
 import math
 from collections import deque
+from collections.abc import Sequence
 
 from repro.perf import CacheStats
 from repro.tuning.gain import GainModel
@@ -92,7 +116,8 @@ class IncrementalGainEvaluator:
     """Maintains the faded gain sums of every index across decisions.
 
     Usage: ``faded_sums(name, now, fade)`` returns
-    ``(S_t, S_m, samples_in_window)`` — exactly the aggregates
+    ``(S_t, S_m, samples_in_window)``, and ``faded_sums_many(names, now,
+    fades)`` a list of them, one per name — exactly the aggregates
     :meth:`repro.tuning.gain.GainModel.evaluate_from_sums` consumes.
     Live (running/queued) dataflow contributions are *not* included;
     the tuner adds them at dc(0) = 1 on top, mirroring the naive path.
@@ -108,8 +133,8 @@ class IncrementalGainEvaluator:
     sums and break the byte-identical-resume guarantee. A *cold* resume
     (no usable snapshot) instead rebuilds from the restored history the
     exact way the original run did: it replays every advance from t=0,
-    so each ``_rebuild``/``_advance`` happens at the same ``now`` with
-    the same window contents and reproduces the original bits.
+    so each rebuild and advance happens at the same ``now`` with the
+    same window contents and reproduces the original bits.
     """
 
     def __init__(self, model: GainModel, history: DataflowHistory) -> None:
@@ -125,42 +150,128 @@ class IncrementalGainEvaluator:
         self, index_name: str, now: float, fade_quanta: float | None = None
     ) -> tuple[float, float, int]:
         """(Σ dc·gtd, Σ dc·Mc·gmd, #in-window samples) at ``now``."""
-        fade = self.model.params.fade_quanta if fade_quanta is None else fade_quanta
-        state = self._states.get(index_name)
-        if state is None:
-            self.stats.miss()
-            state = self._rebuild(index_name, now, fade)
-        elif (
-            state.fade != fade
-            or state.version != self.history.mutation_version
-            or now < state.last_now
-        ):
-            self.stats.invalidate()
-            state = self._rebuild(index_name, now, fade)
-        else:
-            self.stats.hit()
-            state = self._advance(state, index_name, now)
-        head = self.history.head_position
-        flat_t = 0.0
-        flat_m = 0.0
-        alive_flat = 0
-        if state.running or state.future:
-            mc = self.model.pricing.quantum_price
-            for position, gtd, gmd in state.running:
-                if position >= head:
-                    flat_t += gtd
-                    flat_m += mc * gmd
-                    alive_flat += 1
-            for position, _executed_at, gtd, gmd in state.future:
-                if position >= head:
-                    flat_t += gtd
-                    flat_m += mc * gmd
-                    alive_flat += 1
-        return (
-            state.sum_time + flat_t,
-            state.sum_money + flat_m,
-            len(state.window) + alive_flat,
-        )
+        fades = None if fade_quanta is None else [fade_quanta]
+        return self.faded_sums_many([index_name], now, fades)[0]
+
+    def faded_sums_many(
+        self, names: Sequence[str], now: float, fades: Sequence[float] | None = None
+    ) -> list[tuple[float, float, int]]:
+        """:meth:`faded_sums` of every name in ``names`` at ``now``, in order.
+
+        ``fades[k]`` is the fading horizon D of ``names[k]``; without
+        ``fades`` every name uses the model's. One decision advances every
+        index in this one pass: a decay factor is computed once per
+        distinct (previous now, D), and an index with no record appended
+        since its last advance skips the history lookup.
+        """
+        history = self.history
+        version = history.mutation_version
+        head = history.head_position
+        end = history.end_position
+        newest = history.newest_position
+        pricing = self.model.pricing
+        tq = pricing.quantum_seconds
+        mc = pricing.quantum_price
+        window_q = self.model.params.window_quanta
+        default_fade = self.model.params.fade_quanta
+        states = self._states
+        stats = self.stats
+        decays: dict[tuple[float, float], float] = {}
+        hits = 0
+        out: list[tuple[float, float, int]] = []
+        for k, name in enumerate(names):
+            fade = default_fade if fades is None else fades[k]
+            state = states.get(name)
+            if state is None:
+                stats.miss()
+                state = self._rebuild(name, now, fade)
+            elif state.fade != fade or state.version != version or now < state.last_now:
+                stats.invalidate()
+                state = self._rebuild(name, now, fade)
+            elif state.future and any(at <= now for _, at, _, _ in state.future):
+                # A future-dated record that "now" has caught up with
+                # must start decaying from its true age: only an exact
+                # rebuild slots it into the ordered window correctly.
+                # Counted as a hit, then an invalidation.
+                hits += 1
+                stats.invalidate()
+                state = self._rebuild(name, now, fade)
+            else:
+                hits += 1
+                # Decay-rescale the sums from last_now to now, by the
+                # factor every state with the same (last_now, fade)
+                # shares.
+                if now > state.last_now:
+                    key = (state.last_now, fade)
+                    decay = decays.get(key)
+                    if decay is None:
+                        decay = decays[key] = math.exp(-((now - state.last_now) / tq) / fade)
+                    state.sum_time *= decay
+                    state.sum_money *= decay
+                state.last_now = now
+                # Expire from the front: head-evicted records and records
+                # that slid out of the window. The window is ordered by
+                # position and (per the monotone-append check below) by
+                # executed_at, so expiry only ever removes a prefix.
+                # ``not age > 0.0`` keeps the zero ``max(0.0, age)`` keeps.
+                window = state.window
+                while window:
+                    position, executed_at, gtd, gmd = window[0]
+                    age = (now - executed_at) / tq
+                    if not age > 0.0:
+                        age = 0.0
+                    if position >= head and age <= window_q:
+                        break
+                    window.popleft()
+                    dc = math.exp(-age / fade)
+                    state.sum_time -= dc * gtd
+                    state.sum_money -= dc * mc * gmd
+                if state.running:
+                    state.running = [e for e in state.running if e[0] >= head]
+                if state.future:
+                    state.future = [e for e in state.future if e[0] >= head]
+                # Consume records appended since the last advance; skip
+                # the lookup when the index's newest record predates them.
+                if newest(name) >= state.consumed and not self._consume(state, name, now):
+                    stats.invalidate()
+                    state = self._rebuild(name, now, fade)
+                else:
+                    state.consumed = end
+                    # A periodic exact refresh bounds the drift.
+                    state.advances += 1
+                    if state.advances % REFRESH_EVERY == 0:
+                        sum_time = 0.0
+                        sum_money = 0.0
+                        for _position, executed_at, gtd, gmd in window:
+                            age = (now - executed_at) / tq
+                            if not age > 0.0:
+                                age = 0.0
+                            dc = math.exp(-age / fade)
+                            sum_time += dc * gtd
+                            sum_money += dc * mc * gmd
+                        state.sum_time = sum_time
+                        state.sum_money = sum_money
+            flat_t = 0.0
+            flat_m = 0.0
+            alive_flat = 0
+            if state.running or state.future:
+                for position, gtd, gmd in state.running:
+                    if position >= head:
+                        flat_t += gtd
+                        flat_m += mc * gmd
+                        alive_flat += 1
+                for position, _executed_at, gtd, gmd in state.future:
+                    if position >= head:
+                        flat_t += gtd
+                        flat_m += mc * gmd
+                        alive_flat += 1
+            out.append((
+                state.sum_time + flat_t,
+                state.sum_money + flat_m,
+                len(state.window) + alive_flat,
+            ))
+        stats.hit(hits)
+        return out
 
     def reset(self) -> None:
         """Drop all state (next lookups rebuild from the history)."""
@@ -196,46 +307,15 @@ class IncrementalGainEvaluator:
         self._states[index_name] = state
         return state
 
-    def _advance(
-        self, state: _IndexState, index_name: str, now: float
-    ) -> _IndexState:
-        history = self.history
+    def _consume(self, state: _IndexState, index_name: str, now: float) -> bool:
+        """Fold the records appended since ``state`` last advanced into it;
+        False, leaving ``state`` part-updated, when one predates the
+        window's newest (an out-of-order append breaks prefix expiry, so
+        the caller rebuilds exactly)."""
         pricing = self.model.pricing
         window_q = self.model.params.window_quanta
         mc = pricing.quantum_price
-        # 0. A future-dated record whose executed_at "now" has caught up
-        #    with must start decaying from its true age — only an exact
-        #    rebuild slots it into the ordered window correctly.
-        if state.future and any(executed_at <= now for _, executed_at, _, _ in state.future):
-            self.stats.invalidate()
-            return self._rebuild(index_name, now, state.fade)
-        # 1. Decay-rescale the sums from last_now to now.
-        if now > state.last_now:
-            delta_q = pricing.quanta(now - state.last_now)
-            decay = math.exp(-delta_q / state.fade)
-            state.sum_time *= decay
-            state.sum_money *= decay
-        state.last_now = now
-        # 2. Expire from the front: head-evicted records and records that
-        #    slid out of the window. The window is ordered by position
-        #    and (per the monotone-append check in step 3) by
-        #    executed_at, so expiry only ever removes a prefix.
-        head = history.head_position
-        while state.window:
-            position, executed_at, gtd, gmd = state.window[0]
-            age = max(0.0, pricing.quanta(now - executed_at))
-            if position >= head and age <= window_q:
-                break
-            state.window.popleft()
-            dc = math.exp(-age / state.fade)
-            state.sum_time -= dc * gtd
-            state.sum_money -= dc * mc * gmd
-        if state.running:
-            state.running = [e for e in state.running if e[0] >= head]
-        if state.future:
-            state.future = [e for e in state.future if e[0] >= head]
-        # 3. Consume records appended since the last advance.
-        for position, record in history.entries_for(index_name, state.consumed):
+        for position, record in self.history.entries_for(index_name, state.consumed):
             gtd = record.time_gains.get(index_name, 0.0)
             gmd = record.money_gains.get(index_name, 0.0)
             if record.running:
@@ -245,27 +325,11 @@ class IncrementalGainEvaluator:
                 state.future.append((position, record.executed_at, gtd, gmd))
                 continue
             if state.window and record.executed_at < state.window[-1][1]:
-                # Out-of-order append would break prefix expiry; fall
-                # back to an exact rebuild (counted as an invalidation).
-                self.stats.invalidate()
-                return self._rebuild(index_name, now, state.fade)
+                return False
             age = record.age_quanta(now, pricing)
             if age <= window_q:
                 dc = math.exp(-age / state.fade)
                 state.sum_time += dc * gtd
                 state.sum_money += dc * mc * gmd
                 state.window.append((position, record.executed_at, gtd, gmd))
-        state.consumed = history.end_position
-        # 4. Periodic exact refresh bounds the decay-rescaling drift.
-        state.advances += 1
-        if state.advances % REFRESH_EVERY == 0:
-            sum_time = 0.0
-            sum_money = 0.0
-            for _position, executed_at, gtd, gmd in state.window:
-                age = max(0.0, pricing.quanta(now - executed_at))
-                dc = math.exp(-age / state.fade)
-                sum_time += dc * gtd
-                sum_money += dc * mc * gmd
-            state.sum_time = sum_time
-            state.sum_money = sum_money
-        return state
+        return True

@@ -118,13 +118,20 @@ class OnlineIndexTuner:
         self._df_gain_cache: OrderedDict[
             str, tuple[dict[str, float], dict[str, float]]
         ] = OrderedDict()
+        self._size_mb: dict[str, float] = {}
 
     # ------------------------------------------------------------------
     # Gain bookkeeping
     # ------------------------------------------------------------------
     def index_size_mb(self, name: str) -> float:
-        index = self.catalog.index(name)
-        return self.gain_model.cost_model.index_size_mb(index.table, index.spec)
+        """Size of the whole index, memoised per name: it depends only on
+        the index's table and spec."""
+        size = self._size_mb.get(name)
+        if size is None:
+            index = self.catalog.index(name)
+            size = self.gain_model.cost_model.index_size_mb(index.table, index.spec)
+            self._size_mb[name] = size
+        return size
 
     #: Bound of the per-dataflow gain memo (LRU-evicted beyond this).
     GAIN_CACHE_MAX = 512
@@ -198,25 +205,31 @@ class OnlineIndexTuner:
         names = set(self.history.index_names())
         for time_gains, _ in live:
             names |= set(time_gains)
+        indexes = self.catalog.indexes
+        known = [name for name in sorted(names) if name in indexes]
+        controller = self.fading_controller
+        fades = None if controller is None else [controller.suggest_fade(n) for n in known]
+        # Historical inflow from the maintained running sums, every index
+        # advanced in one pass; live dataflows contribute at dc(0) = 1 on
+        # top (age 0), added to each index in live order.
+        sums = self._incremental.faded_sums_many(known, now, fades)
+        sum_t = [terms[0] for terms in sums]
+        sum_m = [terms[1] for terms in sums]
+        counts = [terms[2] for terms in sums]
+        slot = {name: k for k, name in enumerate(known)}
+        mc = self.gain_model.pricing.quantum_price
+        for time_gains, money_gains in live:
+            for name, gtd in time_gains.items():
+                at = slot.get(name)
+                if at is not None:
+                    sum_t[at] += gtd
+                    sum_m[at] += mc * money_gains[name]
+                    counts[at] += 1
         gains: dict[str, IndexGain] = {}
-        for name in sorted(names):
-            index = self.catalog.indexes.get(name)
-            if index is None:
-                continue
-            fade = None
-            if self.fading_controller is not None:
-                fade = self.fading_controller.suggest_fade(name)
-            # Historical inflow from the maintained running sums; live
-            # dataflows contribute at dc(0) = 1 on top (age 0).
-            sum_t, sum_m, count = self._incremental.faded_sums(name, now, fade)
-            mc = self.gain_model.pricing.quantum_price
-            for time_gains, money_gains in live:
-                if name in time_gains:
-                    sum_t += time_gains[name]
-                    sum_m += mc * money_gains[name]
-                    count += 1
+        for k, name in enumerate(known):
             gains[name] = self.gain_model.evaluate_from_sums(
-                index, sum_t, sum_m, count, fade_quanta=fade
+                indexes[name], sum_t[k], sum_m[k], counts[k],
+                fade_quanta=None if fades is None else fades[k],
             )
         return gains
 

@@ -11,6 +11,10 @@ Contents:
 * :func:`oracle_faded_sums` — the O(window) per-decision fold of the
   faded benefit inflows (Eqs. 4/5) that
   :class:`repro.tuning.incremental.IncrementalGainEvaluator` replaces.
+* :class:`OracleIncrementalGainEvaluator` — the incremental evaluator as
+  it was before its batched pass: one ``faded_sums`` call, rebuild or
+  advance per index. ``faded_sums_many`` must return bit-identical sums
+  and count identical cache hits, misses and invalidations.
 * :class:`OracleSkylineScheduler` — the pre-optimisation Algorithm 4
   scheduler (no dominance prefilter, objectives recomputed from scratch
   at every prune, no topo-order cache). The optimised scheduler must be
@@ -30,6 +34,7 @@ from __future__ import annotations
 
 import math
 import zlib
+from collections import deque
 from dataclasses import dataclass, field
 
 from repro.cloud.container import PAPER_CONTAINER, ContainerSpec
@@ -52,6 +57,7 @@ from repro.interleave.knapsack import (
     KnapsackSolution,
     fractional_bound,
 )
+from repro.perf import CacheStats
 from repro.scheduling.schedule import Assignment, Schedule
 from repro.tuning.gain import GainModel
 from repro.tuning.history import DataflowHistory
@@ -85,6 +91,181 @@ def oracle_faded_sums(
         sum_money += dc * mc * sample.money_gain_quanta
         count += 1
     return sum_time, sum_money, count
+
+
+# ----------------------------------------------------------------------
+# Incremental gain oracle: one advance per index (frozen copy)
+# ----------------------------------------------------------------------
+#: Advances between exact recomputations of the running sums.
+_ORACLE_REFRESH_EVERY = 32
+
+
+class _OracleIndexState:
+    """Running sums and sliding window of one (index, fade) stream."""
+
+    __slots__ = (
+        "fade",
+        "version",
+        "last_now",
+        "consumed",
+        "sum_time",
+        "sum_money",
+        "window",
+        "running",
+        "future",
+        "advances",
+    )
+
+    def __init__(self, fade: float, version: int, now: float) -> None:
+        self.fade = fade
+        self.version = version
+        self.last_now = now
+        self.consumed = 0
+        self.sum_time = 0.0
+        self.sum_money = 0.0
+        self.window: deque[tuple[int, float, float, float]] = deque()
+        self.running: list[tuple[int, float, float]] = []
+        self.future: list[tuple[int, float, float, float]] = []
+        self.advances = 0
+
+
+class OracleIncrementalGainEvaluator:
+    """The incremental evaluator exactly as it was before the batched
+    pass: each ``faded_sums`` call rebuilds or advances one index, with
+    its own decay factor and its own history lookup."""
+
+    def __init__(self, model: GainModel, history: DataflowHistory) -> None:
+        self.model = model
+        self.history = history
+        self.stats = CacheStats()
+        self._states: dict[str, _OracleIndexState] = {}
+
+    def faded_sums(
+        self, index_name: str, now: float, fade_quanta: float | None = None
+    ) -> tuple[float, float, int]:
+        fade = self.model.params.fade_quanta if fade_quanta is None else fade_quanta
+        state = self._states.get(index_name)
+        if state is None:
+            self.stats.miss()
+            state = self._rebuild(index_name, now, fade)
+        elif (
+            state.fade != fade
+            or state.version != self.history.mutation_version
+            or now < state.last_now
+        ):
+            self.stats.invalidate()
+            state = self._rebuild(index_name, now, fade)
+        else:
+            self.stats.hit()
+            state = self._advance(state, index_name, now)
+        head = self.history.head_position
+        flat_t = 0.0
+        flat_m = 0.0
+        alive_flat = 0
+        if state.running or state.future:
+            mc = self.model.pricing.quantum_price
+            for position, gtd, gmd in state.running:
+                if position >= head:
+                    flat_t += gtd
+                    flat_m += mc * gmd
+                    alive_flat += 1
+            for position, _executed_at, gtd, gmd in state.future:
+                if position >= head:
+                    flat_t += gtd
+                    flat_m += mc * gmd
+                    alive_flat += 1
+        return (
+            state.sum_time + flat_t,
+            state.sum_money + flat_m,
+            len(state.window) + alive_flat,
+        )
+
+    def _rebuild(self, index_name: str, now: float, fade: float) -> _OracleIndexState:
+        history = self.history
+        pricing = self.model.pricing
+        window_q = self.model.params.window_quanta
+        mc = pricing.quantum_price
+        state = _OracleIndexState(fade=fade, version=history.mutation_version, now=now)
+        for position, record in history.entries_for(index_name):
+            gtd = record.time_gains.get(index_name, 0.0)
+            gmd = record.money_gains.get(index_name, 0.0)
+            if record.running:
+                state.running.append((position, gtd, gmd))
+                continue
+            if record.executed_at > now:
+                state.future.append((position, record.executed_at, gtd, gmd))
+                continue
+            age = record.age_quanta(now, pricing)
+            if age <= window_q:
+                dc = math.exp(-age / fade)
+                state.sum_time += dc * gtd
+                state.sum_money += dc * mc * gmd
+                state.window.append((position, record.executed_at, gtd, gmd))
+        state.consumed = history.end_position
+        self._states[index_name] = state
+        return state
+
+    def _advance(
+        self, state: _OracleIndexState, index_name: str, now: float
+    ) -> _OracleIndexState:
+        history = self.history
+        pricing = self.model.pricing
+        window_q = self.model.params.window_quanta
+        mc = pricing.quantum_price
+        if state.future and any(executed_at <= now for _, executed_at, _, _ in state.future):
+            self.stats.invalidate()
+            return self._rebuild(index_name, now, state.fade)
+        if now > state.last_now:
+            delta_q = pricing.quanta(now - state.last_now)
+            decay = math.exp(-delta_q / state.fade)
+            state.sum_time *= decay
+            state.sum_money *= decay
+        state.last_now = now
+        head = history.head_position
+        while state.window:
+            position, executed_at, gtd, gmd = state.window[0]
+            age = max(0.0, pricing.quanta(now - executed_at))
+            if position >= head and age <= window_q:
+                break
+            state.window.popleft()
+            dc = math.exp(-age / state.fade)
+            state.sum_time -= dc * gtd
+            state.sum_money -= dc * mc * gmd
+        if state.running:
+            state.running = [e for e in state.running if e[0] >= head]
+        if state.future:
+            state.future = [e for e in state.future if e[0] >= head]
+        for position, record in history.entries_for(index_name, state.consumed):
+            gtd = record.time_gains.get(index_name, 0.0)
+            gmd = record.money_gains.get(index_name, 0.0)
+            if record.running:
+                state.running.append((position, gtd, gmd))
+                continue
+            if record.executed_at > now:
+                state.future.append((position, record.executed_at, gtd, gmd))
+                continue
+            if state.window and record.executed_at < state.window[-1][1]:
+                self.stats.invalidate()
+                return self._rebuild(index_name, now, state.fade)
+            age = record.age_quanta(now, pricing)
+            if age <= window_q:
+                dc = math.exp(-age / state.fade)
+                state.sum_time += dc * gtd
+                state.sum_money += dc * mc * gmd
+                state.window.append((position, record.executed_at, gtd, gmd))
+        state.consumed = history.end_position
+        state.advances += 1
+        if state.advances % _ORACLE_REFRESH_EVERY == 0:
+            sum_time = 0.0
+            sum_money = 0.0
+            for _position, executed_at, gtd, gmd in state.window:
+                age = max(0.0, pricing.quanta(now - executed_at))
+                dc = math.exp(-age / state.fade)
+                sum_time += dc * gtd
+                sum_money += dc * mc * gmd
+            state.sum_time = sum_time
+            state.sum_money = sum_money
+        return state
 
 
 # ----------------------------------------------------------------------

@@ -1,4 +1,5 @@
-"""Differential tests: incremental gain sums vs the naive Eq. 4/5 oracle.
+"""Differential tests: incremental gain sums vs the naive Eq. 4/5 oracle,
+and the batched pass vs the frozen per-index evaluator.
 
 The incremental evaluator maintains the faded benefit inflows across
 decision points by decay-rescaling (``S(now+δ) = e^(-δ/D)·S(now) - …``),
@@ -9,6 +10,11 @@ backwards time) and every checkpoint must agree with the oracle within
 a relative 1e-7 — far tighter than any decision threshold in the model
 (delete threshold 0.05 quanta) and far looser than the proven drift
 bound (one rounding error per advance, exact refresh every 32).
+
+``faded_sums_many`` advances every index of a decision in one pass. It
+must match the frozen per-index evaluator bit for bit, with the same
+cache counts, because it performs the same float operations in the same
+order and only shares work that gives the same bits.
 """
 
 from __future__ import annotations
@@ -24,7 +30,7 @@ from repro.tuning.gain import GainModel, GainParameters
 from repro.tuning.history import DataflowHistory, DataflowRecord
 from repro.tuning.incremental import REFRESH_EVERY, IncrementalGainEvaluator
 
-from tests.differential.oracle import oracle_faded_sums
+from tests.differential.oracle import OracleIncrementalGainEvaluator, oracle_faded_sums
 
 INDEX = "lineitem__l_orderkey"
 OTHER = "orders__o_custkey"
@@ -223,3 +229,100 @@ def test_cache_stats_classify_rebuild_causes():
     history.mark_finished("df1", 90.0)  # in-place mutation
     evaluator.faded_sums(INDEX, 120.0, fade_quanta=2.0)
     assert evaluator.stats.invalidations == 3
+
+
+#: Indexes of the batched episodes; records mention overlapping subsets.
+NAMES = (INDEX, OTHER, "orders__o_orderdate", "part__p_type", "lineitem__l_shipdate")
+_masks = st.integers(min_value=0, max_value=2 ** len(NAMES) - 1)
+_batched_events = st.lists(
+    st.one_of(
+        # (mask, gtd, gmd, offset_s, running): offsets below zero append
+        # out of order, above zero future-dated.
+        st.tuples(st.just("append"), _masks, _gain_floats, _gain_floats,
+                  st.floats(min_value=-400.0, max_value=200.0), st.booleans()),
+        st.tuples(st.just("finish"), st.floats(min_value=0.0, max_value=300.0)),
+        # (jump_s, mask, fade table): jumps below 300 s move "now"
+        # backwards; most decisions ask for every index.
+        st.tuples(st.just("decide"), st.floats(min_value=0.0, max_value=900.0),
+                  st.one_of(st.just(2 ** len(NAMES) - 1), _masks),
+                  st.sampled_from([None, 0, 1])),
+    ),
+    min_size=1,
+    max_size=50,
+)
+#: Two per-index fade tables an episode's decisions pick from, so an
+#: index keeps its fade across decisions while others differ from it.
+_fade_tables = st.lists(
+    st.lists(st.sampled_from([0.25, 5.0, 12.0]), min_size=len(NAMES), max_size=len(NAMES)),
+    min_size=2,
+    max_size=2,
+)
+
+
+def _stats(evaluator) -> tuple[int, int, int]:
+    stats = evaluator.stats
+    return stats.hits, stats.misses, stats.invalidations
+
+
+@given(
+    events=_batched_events,
+    fade_tables=_fade_tables,
+    window_quanta=st.sampled_from([1.0, 5.0, 30.0]),
+    fade_quanta=st.sampled_from([0.5, 5.0, 50.0]),
+    max_records=st.sampled_from([None, 3, 8]),
+)
+@settings(max_examples=150, deadline=None, derandomize=True)
+def test_batched_sums_are_bit_identical_to_per_index_advances(
+    events, fade_tables, window_quanta, fade_quanta, max_records
+):
+    """At every decision, one ``faded_sums_many`` pass returns exactly
+    the floats and counts of the frozen per-index loop, and moves the
+    hit, miss and invalidation counters by exactly as much.
+
+    Episodes mix overlapping index sets, bounded-history eviction,
+    running-to-finished flips, future-dated and out-of-order appends,
+    "now" moving backwards, and per-index fades that change between
+    decisions.
+    """
+    model = _model(window_quanta, fade_quanta)
+    history = DataflowHistory(PAPER_PRICING, max_records=max_records)
+    batched = IncrementalGainEvaluator(model, history)
+    frozen = OracleIncrementalGainEvaluator(model, history)
+    now = 0.0
+    serial = 0
+    for event in events:
+        kind = event[0]
+        if kind == "append":
+            _, mask, gtd, gmd, offset_s, running = event
+            used = [name for bit, name in enumerate(NAMES) if mask >> bit & 1]
+            history.add(
+                DataflowRecord(
+                    name=f"df{serial}",
+                    executed_at=max(0.0, now + offset_s),
+                    time_gains={name: gtd + k for k, name in enumerate(used)},
+                    money_gains={name: gmd * 0.5 + k for k, name in enumerate(used)},
+                    running=running,
+                )
+            )
+            serial += 1
+        elif kind == "finish":
+            _, delay_s = event
+            running = [r for r in history.records if r.running]
+            if running:
+                history.mark_finished(running[-1].name, now + delay_s)
+        else:
+            _, jump_s, mask, table = event
+            now = max(0.0, now + jump_s - 300.0)
+            names = [name for bit, name in enumerate(NAMES) if mask >> bit & 1]
+            picked = None
+            if table is not None:
+                picked = [fade_tables[table][NAMES.index(n)] for n in names]
+            expected = [
+                frozen.faded_sums(name, now, None if picked is None else picked[k])
+                for k, name in enumerate(names)
+            ]
+            actual = batched.faded_sums_many(names, now, picked)
+            assert actual == expected
+            assert repr(actual) == repr(expected)  # signed zeros too
+            assert _stats(batched) == _stats(frozen)
+
