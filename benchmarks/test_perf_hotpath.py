@@ -1,9 +1,9 @@
 """Hot-path performance benchmark: before/after the optimisation layer.
 
-Seven measurements, each against the frozen naive oracles of
-``tests/differential/oracle.py`` (the pre-optimisation implementations),
-so "before" numbers are produced by the code that actually shipped
-before, in the same process, on the same inputs:
+Eight measurements, each against the frozen naive oracles of
+``tests/differential/`` (the pre-optimisation implementations), so
+"before" numbers are produced by the code that actually shipped before,
+in the same process, on the same inputs:
 
 * **gain window update** — per-decision faded-sum evaluation over a
   long history: naive O(window) refold vs the incremental evaluator
@@ -13,6 +13,15 @@ before, in the same process, on the same inputs:
   the evaluation catalog (500 indexes) can use, one record finishing
   per decision. The frozen per-index evaluator vs one batched pass,
   with identical sums and cache counts asserted (required: >= 1.3x);
+* **tuner decision** — the rest of the same decisions, from the summed
+  inflows to the build candidates: the frozen per-index Eq. 3-5, a scan
+  of every index's partition states for the built indexes and their
+  built fractions, and each ranked index's unbuilt partitions re-derived,
+  vs one ``evaluate_many`` pass, the maintained build-state totals and
+  the memoised build tables, while each decision's first candidates
+  complete, a killed build checkpoints and data updates invalidate
+  partitions; identical gains, rankings, candidates, fractions and cache
+  counts asserted (required: >= 1.6x);
 * **skyline schedule** — Algorithm 4 on workload DAGs: full branch +
   rescore-from-scratch vs dominance prefilter + incremental objectives
   (required: >= 5x);
@@ -76,14 +85,21 @@ from repro.scheduling.skyline import SkylineScheduler
 from repro.tuning.gain import GainModel, GainParameters
 from repro.tuning.history import DataflowHistory, DataflowRecord
 from repro.tuning.incremental import IncrementalGainEvaluator
+from repro.tuning.ranking import rank_indexes
 from repro.tuning.tuner import OnlineIndexTuner
 
 from tests.differential.oracle import (
+    OracleGainModel,
     OracleIncrementalGainEvaluator,
     OracleSkylineScheduler,
     oracle_catalog_digest,
     oracle_faded_sums,
     oracle_solve_knapsack,
+)
+from tests.differential.test_decision_oracle import (
+    oracle_build_candidates,
+    scanned_any_built,
+    scanned_built_fraction,
 )
 from tests.differential.test_skyline_oracle import (
     APPS,
@@ -194,6 +210,128 @@ def _bench_gain_decision(records: int = 90, live: int = 30, decisions: int = 60)
         "naive_ops_per_s": decisions / naive_s,
         "batched_ops_per_s": decisions / batched_s,
         "speedup": naive_s / batched_s,
+    }
+
+
+# ----------------------------------------------------------------------
+# Part 1c: the rest of a tuner decision, inflows to candidates
+# ----------------------------------------------------------------------
+def _bench_tuner_decision(
+    records: int = 90, live: int = 30, decisions: int = 60, builds: int = 4
+):
+    workload = build_workload(PAPER_PRICING, seed=7)
+    catalog = workload.catalog
+    cost_model = IndexCostModel(PAPER_PRICING)
+    params = GainParameters()
+    model = GainModel(PAPER_PRICING, cost_model, params)
+    frozen = OracleGainModel(PAPER_PRICING, cost_model, params)
+    history = DataflowHistory(PAPER_PRICING)
+    tuner = OnlineIndexTuner(
+        catalog, model, history, SkylineScheduler(PAPER_PRICING), interleaver="online"
+    )
+    apps = app_names()
+    interval_s = 60.0
+    flows = [
+        workload.next_dataflow(apps[i % len(apps)], interval_s * i)
+        for i in range(records + live + decisions)
+    ]
+    gains = [tuner.dataflow_gains(flow) for flow in flows]
+    for i in range(records):
+        history.add(DataflowRecord(flows[i].name, interval_s * i, *gains[i]))
+    sums = IncrementalGainEvaluator(model, history)
+    mc = PAPER_PRICING.quantum_price
+    rng = np.random.default_rng(7)
+    naive_s = memo_s = 0.0
+    indexes_seen = candidates_seen = 0
+    candidates: list = []
+    for d in range(decisions + 1):
+        now = interval_s * (records + d)
+        if d:
+            i = records + d - 1
+            history.add(DataflowRecord(flows[i].name, now, *gains[i]))
+            # The step's first builds complete, the next one is killed
+            # after a checkpoint, and now and then a data update
+            # invalidates a built partition.
+            for done in candidates[:builds]:
+                catalog.indexes[done.index_name].mark_built(done.partition_id, now)
+                model.invalidate_index(done.index_name)
+                frozen.invalidate_index(done.index_name)
+            if len(candidates) > builds:
+                killed = candidates[builds]
+                catalog.indexes[killed.index_name].record_checkpoint(killed.partition_id, 5.0)
+            built = [index for index in catalog.indexes.values() if scanned_any_built(index)]
+            if d % 10 == 0 and built:
+                index = built[int(rng.integers(len(built)))]
+                index.invalidate_partition(index.built_partition_ids()[0])
+                model.invalidate_index(index.name)
+                frozen.invalidate_index(index.name)
+        live_gains = gains[records + d : records + d + live]
+        names = set(history.index_names())
+        for time_gains, _ in live_gains:
+            names |= set(time_gains)
+        known = [name for name in sorted(names) if name in catalog.indexes]
+        indexes = [catalog.indexes[name] for name in known]
+        terms = sums.faded_sums_many(known, now)
+        sum_t = [t[0] for t in terms]
+        sum_m = [t[1] for t in terms]
+        counts = [t[2] for t in terms]
+        slot = {name: k for k, name in enumerate(known)}
+        for time_gains, money_gains in live_gains:
+            for name, gtd in time_gains.items():
+                at = slot.get(name)
+                if at is not None:
+                    sum_t[at] += gtd
+                    sum_m[at] += mc * money_gains[name]
+                    counts[at] += 1
+
+        t0 = time.perf_counter()
+        expected = [
+            frozen.evaluate_from_sums(index, sum_t[k], sum_m[k], counts[k])
+            for k, index in enumerate(indexes)
+        ]
+        t1 = time.perf_counter()
+        ranked_expected = rank_indexes(expected)
+        t2 = time.perf_counter()
+        candidates_expected = oracle_build_candidates(
+            catalog, cost_model, ranked_expected, tuner.max_candidates
+        )
+        fractions_expected = {
+            index.name: scanned_built_fraction(index)
+            for index in catalog.indexes.values()
+            if scanned_any_built(index)
+        }
+        t3 = time.perf_counter()
+        actual = model.evaluate_many(indexes, sum_t, sum_m, counts)
+        t4 = time.perf_counter()
+        ranked = rank_indexes(actual)
+        t5 = time.perf_counter()
+        candidates = tuner.build_candidates(ranked)
+        fractions = {index.name: index.built_fraction() for index in catalog.built_indexes()}
+        t6 = time.perf_counter()
+
+        assert actual == expected
+        assert ranked == ranked_expected
+        assert candidates == candidates_expected
+        assert fractions == fractions_expected
+        if d:  # the first decision fills every memo cold, outside the timers
+            naive_s += (t1 - t0) + (t3 - t2)
+            memo_s += (t4 - t3) + (t6 - t5)
+            indexes_seen += len(known)
+            candidates_seen += len(candidates)
+    stats = (model.cost_stats.hits, model.cost_stats.misses, model.cost_stats.invalidations)
+    assert stats == (
+        frozen.cost_stats.hits, frozen.cost_stats.misses, frozen.cost_stats.invalidations
+    )
+    return {
+        "history_records": records,
+        "live_dataflows": live,
+        "decisions": decisions,
+        "indexes_per_decision": indexes_seen / decisions,
+        "candidates_per_decision": candidates_seen / decisions,
+        "built_indexes": len(fractions),
+        "naive_ops_per_s": decisions / naive_s,
+        "memoised_ops_per_s": decisions / memo_s,
+        "speedup": naive_s / memo_s,
     }
 
 
@@ -440,6 +578,7 @@ def _bench_recovery_snapshot(rounds: int = 7):
 def test_hotpath(benchmark, figure_metrics, monkeypatch):
     gain = _bench_gain_update()
     decision = _bench_gain_decision()
+    tuner_decision = _bench_tuner_decision()
     skyline = _bench_skyline()
     builds = _bench_skyline_builds()
     commit = _bench_recovery_commit()
@@ -454,6 +593,9 @@ def test_hotpath(benchmark, figure_metrics, monkeypatch):
              f"{gain['incremental_ops_per_s']:.1f}", f"{gain['speedup']:.1f}x"],
             ["gain decision", f"{decision['naive_ops_per_s']:.1f}",
              f"{decision['batched_ops_per_s']:.1f}", f"{decision['speedup']:.1f}x"],
+            ["tuner decision", f"{tuner_decision['naive_ops_per_s']:.1f}",
+             f"{tuner_decision['memoised_ops_per_s']:.1f}",
+             f"{tuner_decision['speedup']:.1f}x"],
             ["skyline schedule", f"{skyline['naive_ops_per_s']:.2f}",
              f"{skyline['optimised_ops_per_s']:.2f}", f"{skyline['speedup']:.1f}x"],
             ["skyline with builds", f"{builds['naive_ops_per_s']:.2f}",
@@ -471,6 +613,7 @@ def test_hotpath(benchmark, figure_metrics, monkeypatch):
     figure_metrics["artifact_stem"] = "hotpath"  # -> BENCH_hotpath.json
     figure_metrics["gain_window_update"] = gain
     figure_metrics["gain_decision"] = decision
+    figure_metrics["tuner_decision"] = tuner_decision
     figure_metrics["skyline_schedule"] = skyline
     figure_metrics["skyline_schedule_builds"] = builds
     figure_metrics["recovery_commit"] = commit
@@ -479,6 +622,7 @@ def test_hotpath(benchmark, figure_metrics, monkeypatch):
     benchmark.extra_info.update(
         gain_speedup=gain["speedup"],
         gain_decision_speedup=decision["speedup"],
+        tuner_decision_speedup=tuner_decision["speedup"],
         skyline_speedup=skyline["speedup"],
         skyline_builds_speedup=builds["speedup"],
         recovery_commit_speedup=commit["speedup"],
@@ -490,6 +634,7 @@ def test_hotpath(benchmark, figure_metrics, monkeypatch):
     # only on a genuine hot-path regression).
     assert gain["speedup"] >= 3.0
     assert decision["speedup"] >= 1.3
+    assert tuner_decision["speedup"] >= 1.6
     assert skyline["speedup"] >= 5.0
     assert builds["speedup"] >= 30.0
     assert commit["speedup"] >= 5.0

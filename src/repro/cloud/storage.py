@@ -11,6 +11,7 @@ invalidate indexes built on old versions (Section 3, "Data Model").
 from __future__ import annotations
 
 import logging
+from bisect import bisect_left
 from dataclasses import dataclass
 
 from repro.cloud.pricing import PricingModel
@@ -59,6 +60,13 @@ class CloudStorage:
         self._objects: dict[str, StoredObject] = {}
         self._history: list[StoredObject] = []
         self._versions: dict[str, int] = {}
+        # The sizes of the live objects in ``_objects`` order (each path's
+        # first put), beside the ranks of their paths in that order:
+        # ``live_mb`` sums the same floats in the same order as a walk of
+        # ``_objects`` would, without visiting the dead ones.
+        self._rank: dict[str, int] = {}
+        self._live_ranks: list[int] = []
+        self._live_sizes: list[float] = []
         # Running integral of MB*seconds up to _accounted_until.
         self._mb_seconds: float = 0.0
         self._accounted_until: float = 0.0
@@ -82,9 +90,20 @@ class CloudStorage:
         crash_point("storage.pre_put")
         self._advance(time)
         previous = self._objects.get(path)
-        if previous is not None and previous.live:
-            # An already-deleted version keeps its own delete time.
-            previous.deleted_at = time
+        if previous is None:
+            rank = self._rank[path] = len(self._objects)
+            self._live_ranks.append(rank)
+            self._live_sizes.append(size_mb)
+        else:
+            rank = self._rank[path]
+            at = bisect_left(self._live_ranks, rank)
+            if previous.live:
+                # An already-deleted version keeps its own delete time.
+                previous.deleted_at = time
+                self._live_sizes[at] = size_mb
+            else:
+                self._live_ranks.insert(at, rank)
+                self._live_sizes.insert(at, size_mb)
         version = self._versions.get(path, -1) + 1
         self._versions[path] = version
         obj = StoredObject(path=path, size_mb=size_mb, created_at=time, version=version)
@@ -129,6 +148,9 @@ class CloudStorage:
         crash_point("storage.pre_delete")
         self._advance(time)
         obj.deleted_at = time
+        at = bisect_left(self._live_ranks, self._rank[path])
+        del self._live_ranks[at]
+        del self._live_sizes[at]
 
     def version_of(self, path: str) -> int:
         obj = self._objects.get(path)
@@ -147,13 +169,13 @@ class CloudStorage:
     @property
     def live_mb(self) -> float:
         """Total size of all live objects."""
-        return sum(o.size_mb for o in self._objects.values() if o.live)
+        return sum(self._live_sizes)
 
     @property
     def live_count(self) -> int:
         """Number of live objects (an integer digest; the cross-tenant
         isolation oracle compares it without touching float billing)."""
-        return sum(1 for o in self._objects.values() if o.live)
+        return len(self._live_sizes)
 
     @property
     def accounted_mb_seconds(self) -> float:

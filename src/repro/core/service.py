@@ -1080,7 +1080,7 @@ class QaaSService:
     def _snapshot(self, time: float) -> IndexSnapshot:
         time = max(time, self.storage.accounted_until)
         built = self.catalog.built_indexes()
-        partitions = sum(len(i.built_partition_ids()) for i in built)
+        partitions = sum(i.built_partition_count for i in built)
         return IndexSnapshot(
             time=time,
             indexes_built=len(built),

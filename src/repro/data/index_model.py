@@ -29,6 +29,7 @@ import math
 import zlib
 from dataclasses import dataclass, field
 from enum import Enum
+from functools import cached_property
 from typing import NamedTuple
 
 from repro.cloud.container import ContainerSpec, PAPER_CONTAINER
@@ -73,8 +74,13 @@ class IndexSpec:
         if self.build_constant <= 0:
             raise ValueError("build_constant must be positive")
 
-    @property
+    @cached_property
     def name(self) -> str:
+        """``<table>__<col>_<col>``, formatted once per spec.
+
+        The value lives in the instance ``__dict__``, outside the dataclass
+        fields, so equality, hashing and the frozen fields are unchanged.
+        """
         return f"{self.table_name}__{'_'.join(self.columns)}"
 
     def path(self, partition_id: int) -> str:
@@ -310,6 +316,16 @@ class Index:
                 p.partition_id: IndexPartitionState(partition_id=p.partition_id)
                 for p in self.table.partitions
             }
+        # Built partitions and the table records they cover. The three
+        # build-state writers below (mark_built, invalidate_partition,
+        # drop_all) keep both current, so the aggregates read them
+        # instead of scanning the partition states.
+        self._built_count = 0
+        self._covered_records = 0
+        for pid, st in self.partitions.items():
+            if st.built:
+                self._built_count += 1
+                self._covered_records += self.table.partition(pid).num_records
 
     @property
     def name(self) -> str:
@@ -322,28 +338,29 @@ class Index:
         return sorted(pid for pid, st in self.partitions.items() if not st.built)
 
     @property
+    def built_partition_count(self) -> int:
+        return self._built_count
+
+    @property
     def fully_built(self) -> bool:
-        return all(st.built for st in self.partitions.values())
+        return self._built_count == len(self.partitions)
 
     @property
     def any_built(self) -> bool:
-        return any(st.built for st in self.partitions.values())
+        return self._built_count > 0
 
     def built_fraction(self) -> float:
         """Fraction of table *records* covered by built index partitions.
 
         Indexes are usable incrementally; a dataflow is sped up in
-        proportion to the covered records.
+        proportion to the covered records. The covered count is an exact
+        integer, so the quotient does not depend on the order in which
+        partitions were built.
         """
         total = self.table.num_records
         if total == 0:
             return 1.0 if self.fully_built else 0.0
-        covered = sum(
-            self.table.partition(pid).num_records
-            for pid, st in self.partitions.items()
-            if st.built
-        )
-        return covered / total
+        return self._covered_records / total
 
     def built_size_mb(self, cost_model: IndexCostModel) -> float:
         return sum(
@@ -375,7 +392,11 @@ class Index:
 
     def mark_built(self, partition_id: int, time: float) -> None:
         state = self.partitions[partition_id]
-        state.mark_built(time, self.table.partition(partition_id).version)
+        partition = self.table.partition(partition_id)
+        if not state.built:
+            self._built_count += 1
+            self._covered_records += partition.num_records
+        state.mark_built(time, partition.version)
         self.build_version += 1
 
     def record_checkpoint(self, partition_id: int, seconds: float) -> None:
@@ -388,10 +409,16 @@ class Index:
 
     def invalidate_partition(self, partition_id: int) -> None:
         """Drop an index partition after a data update invalidates it."""
-        self.partitions[partition_id].invalidate()
+        state = self.partitions[partition_id]
+        if state.built:
+            self._built_count -= 1
+            self._covered_records -= self.table.partition(partition_id).num_records
+        state.invalidate()
         self.build_version += 1
 
     def drop_all(self) -> None:
         for state in self.partitions.values():
             state.invalidate()
+        self._built_count = 0
+        self._covered_records = 0
         self.build_version += 1

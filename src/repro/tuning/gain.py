@@ -18,8 +18,9 @@ and deleted as soon as they stop being beneficial.
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, NamedTuple
 
 from repro.cloud.pricing import PricingModel
 from repro.core.numeric import gt_tol, le_tol
@@ -98,8 +99,7 @@ class DataflowGainSample:
     money_gain_quanta: float
 
 
-@dataclass(frozen=True)
-class IndexGain:
+class IndexGain(NamedTuple):
     """Evaluated gains of one index at one time point.
 
     Beyond the three Eq. 3-5 results, the evaluation records the terms
@@ -107,6 +107,10 @@ class IndexGain:
     storage holding cost, fading controller, sample count) so a
     decision journal can show *why* an index was built or dropped
     without re-running the model.
+
+    A decision evaluates every potential index, so the record is an
+    immutable named tuple: it is built in one call, where a frozen
+    dataclass sets each of its twelve fields in turn.
     """
 
     index_name: str
@@ -203,8 +207,9 @@ class GainModel:
         # partitions are unbuilt): partition record counts never change
         # (updates bump versions, not sizes), so the memo keys on
         # (name, build_version) — every build/invalidate/drop bumps the
-        # version, making stale hits impossible.
-        self._build_time_cache: dict[str, tuple[int, float]] = {}
+        # version, making stale hits impossible. Each entry is
+        # (build_version, ti, Mc·ti).
+        self._build_time_cache: dict[str, tuple[int, float, float]] = {}
         # st(idx, W) and the index size are static per index.
         self._storage_cache: dict[str, float] = {}
         self._read_cache: dict[str, float] = {}
@@ -241,6 +246,11 @@ class GainModel:
         if cached is not None and cached[0] == index.build_version:
             self.cost_stats.hit()
             return cached[1]
+        return self._build_terms(index)[1]
+
+    def _build_terms(self, index: Index) -> tuple[int, float, float]:
+        """Count a miss, then compute and memoise ``(build_version, ti,
+        Mc·ti)`` of ``index``."""
         self.cost_stats.miss()
         table, spec = index.table, index.spec
         value = self.pricing.quanta(
@@ -249,8 +259,11 @@ class GainModel:
                 for pid in index.unbuilt_partition_ids()
             )
         )
-        self._build_time_cache[index.name] = (index.build_version, value)
-        return value
+        # mi(idx) == ti(idx): builds run on already-leased resources, so
+        # they cost the money the idle slots would otherwise waste.
+        entry = (index.build_version, value, self.pricing.quantum_price * value)
+        self._build_time_cache[index.name] = entry
+        return entry
 
     def invalidate_index(self, index_name: str) -> None:
         """Drop memoised cost terms of one index.
@@ -275,6 +288,10 @@ class GainModel:
         if cached is not None:
             self.cost_stats.hit()
             return cached
+        return self._storage_term(index)
+
+    def _storage_term(self, index: Index) -> float:
+        """Count a miss, then compute and memoise st(idx, W) of ``index``."""
         self.cost_stats.miss()
         value = self.cost_model.storage_cost_dollars(
             index.table, index.spec, self.params.storage_window_quanta
@@ -334,32 +351,67 @@ class GainModel:
         samples, as :meth:`evaluate` folds them from a sample list. The
         incremental evaluator maintains those sums across calls
         (:mod:`repro.tuning.incremental`). Equation 5 is ``gt``, Equation
-        4 is ``gm`` and Equation 3 weights the two.
+        4 is ``gm`` and Equation 3 weights the two. This is the one-index
+        case of :meth:`evaluate_many`.
         """
-        build_time = self.build_time_quanta(index)
-        # mi(idx) == ti(idx): builds run on already-leased resources, so
-        # they cost the money the idle slots would otherwise waste.
-        build_cost = self.pricing.quantum_price * build_time
-        storage_cost = self.storage_cost_dollars(index)
-        gt = faded_time_quanta - build_time
-        gm = faded_money_dollars - (build_cost + storage_cost)
+        fades = None if fade_quanta is None else [fade_quanta]
+        return self.evaluate_many(
+            [index], [faded_time_quanta], [faded_money_dollars], [samples_in_window], fades
+        )[0]
+
+    def evaluate_many(
+        self,
+        indexes: Sequence[Index],
+        faded_time_quanta: Sequence[float],
+        faded_money_dollars: Sequence[float],
+        samples_in_window: Sequence[int],
+        fades: Sequence[float] | None = None,
+    ) -> list[IndexGain]:
+        """:meth:`evaluate_from_sums` of every index in ``indexes``, in order.
+
+        Entry ``k`` of each sequence holds the inflows, the sample count
+        and (with ``fades``) the fading controller of ``indexes[k]``. One
+        decision scores every potential index in this one loop. Each
+        index looks up its memoised ``(ti, Mc·ti)`` and ``st`` once, as
+        the per-index path does, and ``gt``, ``gm`` and ``g`` are the same
+        expressions evaluated in the same order, so every float is the
+        one :meth:`evaluate_from_sums` would return; only the per-decision
+        constants are read once and the cache hits counted in one
+        addition (misses at the same events as before).
+        """
+        build_cache = self._build_time_cache
+        storage_cache = self._storage_cache
         alpha = self.params.alpha
-        combined = alpha * self.pricing.quantum_price * gt + (1.0 - alpha) * gm
-        fade = self.params.fade_quanta if fade_quanta is None else fade_quanta
-        return IndexGain(
-            index_name=index.name,
-            time_gain_quanta=gt,
-            money_gain_dollars=gm,
-            combined_dollars=combined,
-            delete_threshold_quanta=self.params.delete_threshold_quanta,
-            faded_time_quanta=faded_time_quanta,
-            faded_money_dollars=faded_money_dollars,
-            build_time_quanta=build_time,
-            build_cost_dollars=build_cost,
-            storage_cost_dollars=storage_cost,
-            fade_quanta=fade,
-            samples=samples_in_window,
-        )
+        time_weight = alpha * self.pricing.quantum_price
+        money_weight = 1.0 - alpha
+        threshold = self.params.delete_threshold_quanta
+        fade = self.params.fade_quanta
+        hits = 0
+        out: list[IndexGain] = []
+        for k, index in enumerate(indexes):
+            name = index.name
+            entry = build_cache.get(name)
+            if entry is not None and entry[0] == index.build_version:
+                hits += 1
+            else:
+                entry = self._build_terms(index)
+            storage_cost = storage_cache.get(name)
+            if storage_cost is not None:
+                hits += 1
+            else:
+                storage_cost = self._storage_term(index)
+            _, build_time, build_cost = entry
+            faded_time = faded_time_quanta[k]
+            faded_money = faded_money_dollars[k]
+            gt = faded_time - build_time
+            gm = faded_money - (build_cost + storage_cost)
+            out.append(IndexGain(
+                name, gt, gm, time_weight * gt + money_weight * gm, threshold,
+                faded_time, faded_money, build_time, build_cost, storage_cost,
+                fade if fades is None else fades[k], samples_in_window[k],
+            ))
+        self.cost_stats.hit(hits)
+        return out
 
 
 def dataflow_index_gains(

@@ -12,9 +12,10 @@ from __future__ import annotations
 
 from collections import OrderedDict
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Any
 
 from repro.data.catalog import Catalog
+from repro.data.index_model import Index
 from repro.dataflow.graph import Dataflow
 from repro.interleave.lp import InterleavedSchedule, lp_interleave, select_fastest
 from repro.interleave.online import online_interleave
@@ -119,6 +120,19 @@ class OnlineIndexTuner:
             str, tuple[dict[str, float], dict[str, float]]
         ] = OrderedDict()
         self._size_mb: dict[str, float] = {}
+        # Per index name: (index, build_version, build table), where the
+        # table lists (partition id, record share, build duration) of each
+        # unbuilt partition in id order. Every build-state change, a
+        # checkpoint included, bumps the version, so an entry is served
+        # only while the index is exactly as it was derived from.
+        self._build_tables: dict[str, tuple[Index, int, list[tuple[int, float, float]]]] = {}
+
+    def __getstate__(self) -> dict[str, Any]:
+        """Pickle without the build-table memo: it is derived from the
+        catalog and rebuilt on first use, so snapshots do not carry it."""
+        state = self.__dict__.copy()
+        state["_build_tables"] = {}
+        return state
 
     # ------------------------------------------------------------------
     # Gain bookkeeping
@@ -225,13 +239,10 @@ class OnlineIndexTuner:
                     sum_t[at] += gtd
                     sum_m[at] += mc * money_gains[name]
                     counts[at] += 1
-        gains: dict[str, IndexGain] = {}
-        for k, name in enumerate(known):
-            gains[name] = self.gain_model.evaluate_from_sums(
-                indexes[name], sum_t[k], sum_m[k], counts[k],
-                fade_quanta=None if fades is None else fades[k],
-            )
-        return gains
+        evaluated = self.gain_model.evaluate_many(
+            [indexes[name] for name in known], sum_t, sum_m, counts, fades
+        )
+        return dict(zip(known, evaluated))
 
     # ------------------------------------------------------------------
     # Build candidates
@@ -245,34 +256,47 @@ class OnlineIndexTuner:
         builds is subtracted from the duration: a resumed build only
         pays for the remaining work.
         """
+        tables = self._build_tables
         candidates: list[BuildCandidate] = []
         for gain in ranked:
-            index = self.catalog.index(gain.index_name)
-            table, spec = index.table, index.spec
-            total_records = max(1, table.num_records)
-            per_index: list[BuildCandidate] = []
-            for pid in sorted(index.unbuilt_partition_ids()):
-                partition = table.partition(pid)
-                model = self.gain_model.cost_model.partition_model(table, spec, partition)
-                share = partition.num_records / total_records
-                remaining_s = model.total_build_seconds - index.checkpoint_seconds(pid)
-                per_index.append(
-                    BuildCandidate(
-                        index_name=index.name,
-                        partition_id=pid,
-                        duration_s=max(remaining_s, 1e-6),
-                        gain=max(gain.combined_dollars * share, 0.0),
-                    )
-                )
-            # Stable (-gain, partition_id) order: the most valuable
-            # partitions are offered first and ties never depend on dict
-            # insertion order (equal-share partitions keep ascending pid).
-            per_index.sort(key=lambda c: (-c.gain, c.partition_id))
+            name = gain.index_name
+            index = self.catalog.index(name)
+            entry = tables.get(name)
+            if entry is None or entry[0] is not index or entry[1] != index.build_version:
+                entry = tables[name] = (index, index.build_version, self._build_table(index))
+            combined = gain.combined_dollars
+            # (-gain, partition_id) order: the most valuable partitions
+            # are offered first and ties never depend on dict insertion
+            # order (equal-share partitions keep ascending pid). Partition
+            # ids are unique, so the duration never decides the order, and
+            # only the candidates taken are built.
+            per_index = sorted([
+                (-max(combined * share, 0.0), pid, duration)
+                for pid, share, duration in entry[2]
+            ])
             take = self.max_candidates - len(candidates)
-            candidates.extend(per_index[:take])
+            candidates.extend(
+                BuildCandidate(name, pid, duration, -negated)
+                for negated, pid, duration in per_index[:take]
+            )
             if len(candidates) >= self.max_candidates:
                 break
         return candidates
+
+    def _build_table(self, index: Index) -> list[tuple[int, float, float]]:
+        """(partition id, record share, remaining build seconds) of each
+        unbuilt partition of ``index``, in id order."""
+        table, spec = index.table, index.spec
+        cost_model = self.gain_model.cost_model
+        total_records = max(1, table.num_records)
+        rows: list[tuple[int, float, float]] = []
+        for pid in index.unbuilt_partition_ids():
+            partition = table.partition(pid)
+            model = cost_model.partition_model(table, spec, partition)
+            share = partition.num_records / total_records
+            remaining_s = model.total_build_seconds - index.checkpoint_seconds(pid)
+            rows.append((pid, share, max(remaining_s, 1e-6)))
+        return rows
 
     # ------------------------------------------------------------------
     # Algorithm 1

@@ -28,6 +28,11 @@ Contents:
 * :func:`oracle_catalog_digest` — the recovery commit record's catalog
   digest, rebuilt from every index's build state. The manager's
   memoised digest must be byte-identical.
+* :class:`OracleGainModel` — Equations 3-5 one index at a time, as
+  :class:`repro.tuning.gain.GainModel` evaluated them before its batched
+  pass, with its cost-term memos and their cache counting.
+  ``GainModel.evaluate_many`` must return equal records and count
+  identical cache hits, misses and invalidations.
 """
 
 from __future__ import annotations
@@ -41,6 +46,8 @@ from repro.cloud.container import PAPER_CONTAINER, ContainerSpec
 from repro.cloud.pricing import PricingModel
 from repro.data.catalog import Catalog
 from repro.data.index_model import (
+    Index,
+    IndexCostModel,
     IndexKind,
     IndexPartitionModel,
     IndexSpec,
@@ -59,7 +66,7 @@ from repro.interleave.knapsack import (
 )
 from repro.perf import CacheStats
 from repro.scheduling.schedule import Assignment, Schedule
-from repro.tuning.gain import GainModel
+from repro.tuning.gain import GainModel, GainParameters, IndexGain
 from repro.tuning.history import DataflowHistory
 
 
@@ -700,3 +707,86 @@ def oracle_catalog_digest(catalog: Catalog) -> str:
             )
         parts.append(f"{zlib.crc32('|'.join(fields).encode('utf-8')):08x}")
     return f"{zlib.crc32('|'.join(parts).encode('ascii')):08x}"
+
+
+# ----------------------------------------------------------------------
+# Gain oracle: Eqs. 3-5 one index at a time, before the batched pass
+# ----------------------------------------------------------------------
+class OracleGainModel:
+    """Equations 3-5 per index, as ``GainModel`` evaluated them before
+    ``evaluate_many``: one ``evaluate_from_sums`` call per index, two
+    memo calls each counting its own hit, and a dataclass-style keyword
+    construction of every record."""
+
+    def __init__(
+        self, pricing: PricingModel, cost_model: IndexCostModel, params: GainParameters
+    ) -> None:
+        self.pricing = pricing
+        self.cost_model = cost_model
+        self.params = params
+        self.cost_stats = CacheStats()
+        self._build_time_cache: dict[str, tuple[int, float]] = {}
+        self._storage_cache: dict[str, float] = {}
+
+    def build_time_quanta(self, index: Index) -> float:
+        cached = self._build_time_cache.get(index.name)
+        if cached is not None and cached[0] == index.build_version:
+            self.cost_stats.hit()
+            return cached[1]
+        self.cost_stats.miss()
+        table, spec = index.table, index.spec
+        value = self.pricing.quanta(
+            sum(
+                self.cost_model.partition_model(table, spec, table.partition(pid)).total_build_seconds
+                for pid in index.unbuilt_partition_ids()
+            )
+        )
+        self._build_time_cache[index.name] = (index.build_version, value)
+        return value
+
+    def invalidate_index(self, index_name: str) -> None:
+        if self._build_time_cache.pop(index_name, None) is not None:
+            self.cost_stats.invalidate()
+
+    def storage_cost_dollars(self, index: Index) -> float:
+        cached = self._storage_cache.get(index.name)
+        if cached is not None:
+            self.cost_stats.hit()
+            return cached
+        self.cost_stats.miss()
+        value = self.cost_model.storage_cost_dollars(
+            index.table, index.spec, self.params.storage_window_quanta
+        )
+        self._storage_cache[index.name] = value
+        return value
+
+    def evaluate_from_sums(
+        self,
+        index: Index,
+        faded_time_quanta: float,
+        faded_money_dollars: float,
+        samples_in_window: int,
+        fade_quanta: float | None = None,
+    ) -> IndexGain:
+        build_time = self.build_time_quanta(index)
+        build_cost = self.pricing.quantum_price * build_time
+        storage_cost = self.storage_cost_dollars(index)
+        gt = faded_time_quanta - build_time
+        gm = faded_money_dollars - (build_cost + storage_cost)
+        alpha = self.params.alpha
+        combined = alpha * self.pricing.quantum_price * gt + (1.0 - alpha) * gm
+        fade = self.params.fade_quanta if fade_quanta is None else fade_quanta
+        return IndexGain(
+            index_name=index.name,
+            time_gain_quanta=gt,
+            money_gain_dollars=gm,
+            combined_dollars=combined,
+            delete_threshold_quanta=self.params.delete_threshold_quanta,
+            faded_time_quanta=faded_time_quanta,
+            faded_money_dollars=faded_money_dollars,
+            build_time_quanta=build_time,
+            build_cost_dollars=build_cost,
+            storage_cost_dollars=storage_cost,
+            fade_quanta=fade,
+            samples=samples_in_window,
+        )

@@ -7,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 from repro.cloud.pricing import PAPER_PRICING
 from repro.cloud.storage import CloudStorage
 from repro.core.pool import ContainerPool
+from repro.faults.injector import FaultInjector, FaultProfile, TransientStorageError
 
 
 @given(
@@ -47,27 +48,51 @@ def test_property_pool_billing_covers_all_work(jobs):
         st.tuples(
             st.floats(min_value=0.0, max_value=1000.0),  # time delta
             st.floats(min_value=0.0, max_value=500.0),   # size MB
-            st.booleans(),                               # delete later?
+            st.integers(min_value=0, max_value=5),       # path: reused paths overwrite or re-put
+            st.booleans(),                               # delete the path's live object instead
         ),
         min_size=1,
         max_size=25,
-    )
+    ),
+    failure_rate=st.sampled_from([0.0, 0.3]),
+    seed=st.integers(min_value=0, max_value=2**16),
 )
 @settings(max_examples=60, deadline=None)
-def test_property_storage_bill_matches_manual_integral(events):
-    """The storage bill equals a manually computed byte-time integral."""
-    storage = CloudStorage(PAPER_PRICING)
+def test_property_storage_bill_matches_manual_integral(events, failure_rate, seed):
+    """The storage bill equals a manually computed byte-time integral
+    through overwrites, deletes, re-puts after a delete and injected put
+    and delete failures; after every event the maintained live size and
+    count equal a walk over the stored objects, bit for bit."""
+    injector = FaultInjector(
+        FaultProfile(
+            storage_put_failure_rate=failure_rate,
+            storage_delete_failure_rate=failure_rate,
+        ),
+        rng=np.random.default_rng(seed),
+    )
+    storage = CloudStorage(PAPER_PRICING, injector=injector)
     clock = 0.0
     lifetimes = []  # (size, start, end or None)
-    for i, (delta, size, will_delete) in enumerate(events):
+    live = {}  # path -> position of its live object in lifetimes
+    for delta, size, slot, delete in events:
         clock += delta
-        path = f"obj{i}"
-        storage.put(path, size, time=clock)
-        lifetimes.append([size, clock, None])
-        if will_delete:
-            clock += 10.0
-            storage.delete(path, time=clock)
-            lifetimes[-1][2] = clock
+        path = f"obj{slot}"
+        try:
+            if not delete:
+                storage.put(path, size, time=clock)
+                if path in live:
+                    lifetimes[live[path]][2] = clock
+                live[path] = len(lifetimes)
+                lifetimes.append([size, clock, None])
+            elif path in live:
+                storage.delete(path, time=clock)
+                lifetimes[live.pop(path)][2] = clock
+        except TransientStorageError:
+            pass  # a lost put stores nothing; a failed delete keeps the object
+        walked = [o.size_mb for o in storage._objects.values() if o.live]
+        assert storage.live_mb == sum(walked)
+        assert repr(storage.live_mb) == repr(sum(walked))
+        assert storage.live_count == len(walked) == len(live)
     horizon = clock + 100.0
     cost = storage.storage_cost(until=horizon)
     manual = 0.0
