@@ -1,6 +1,6 @@
 """Hot-path performance benchmark: before/after the optimisation layer.
 
-Eight measurements, each against the frozen naive oracles of
+Nine measurements, each against the frozen naive oracles of
 ``tests/differential/`` (the pre-optimisation implementations), so
 "before" numbers are produced by the code that actually shipped before,
 in the same process, on the same inputs:
@@ -44,7 +44,12 @@ in the same process, on the same inputs:
   journal and tracer included, vs the segment chunk of the obs entries
   since the run's last snapshot plus the dump with those lists
   detached, with identical unpickled artifacts asserted (required:
-  >= 1.5x).
+  >= 1.5x);
+* **recovery snapshot handoff** — one snapshot boundary of the same run
+  as the service process sees it: the frozen synchronous writer (chunk,
+  pickle, write, fsync, rename and prune) vs the boundary that hands
+  the pickling and the write to a forked writer, with byte-identical
+  published files asserted (required: >= 4x).
 
 Headline numbers land in ``BENCH_hotpath.json`` via the
 ``figure_metrics`` fixture when ``REPRO_BENCH_METRICS_DIR`` is set.
@@ -79,7 +84,7 @@ from repro.recovery.manager import (
     rebuild_obs_lists,
     segment_chunk,
 )
-from repro.recovery.snapshot import read_chunks
+from repro.recovery.snapshot import join_writer, read_chunks, snapshot_path
 from repro.recovery.wal import WriteAheadLog
 from repro.scheduling.skyline import SkylineScheduler
 from repro.tuning.gain import GainModel, GainParameters
@@ -95,6 +100,7 @@ from tests.differential.oracle import (
     oracle_catalog_digest,
     oracle_faded_sums,
     oracle_solve_knapsack,
+    oracle_sync_snapshot,
 )
 from tests.differential.test_decision_oracle import (
     oracle_build_candidates,
@@ -524,23 +530,30 @@ def _obs_artifacts(obs) -> tuple[str, str, str]:
     return (obs.journal.to_jsonl(), obs.metrics.to_json(), trace_json(obs.tracer))
 
 
-def _bench_recovery_snapshot(rounds: int = 7):
+def _long_hooked_run(directory: str):
+    """The hooked configuration run for 120 simulated minutes, after its
+    last step: (manager, obs, service, state)."""
     # A full dump costs more as the obs lists grow, so the run is long
     # enough for them to outweigh the rest of the run, as on churn.
     config = replace(hooked_config(), total_time_s=120 * 60.0)
+    manager = RecoveryManager.start(
+        directory, config, strategy="gain", generator="phase",
+        interleaver="online", obs_enabled=True,
+    )
+    obs = Observation.recording()
+    service, events = prepare_run(
+        Strategy.GAIN, config=config, interleaver="online", obs=obs,
+        recovery=manager,
+    )
+    state = service.begin_run(events)
+    while service.step(state):
+        pass
+    return manager, obs, service, state
+
+
+def _bench_recovery_snapshot(rounds: int = 7):
     with tempfile.TemporaryDirectory() as tmp:
-        manager = RecoveryManager.start(
-            tmp, config, strategy="gain", generator="phase",
-            interleaver="online", obs_enabled=True,
-        )
-        obs = Observation.recording()
-        service, events = prepare_run(
-            Strategy.GAIN, config=config, interleaver="online", obs=obs,
-            recovery=manager,
-        )
-        state = service.begin_run(events)
-        while service.step(state):
-            pass
+        manager, obs, service, state = _long_hooked_run(tmp)
         lists = obs_lists(obs)
         full_s = incremental_s = float("inf")
         for _ in range(rounds):
@@ -575,6 +588,42 @@ def _bench_recovery_snapshot(rounds: int = 7):
     }
 
 
+# ----------------------------------------------------------------------
+# Part 6: recovery snapshot handoff (>= 4x required)
+# ----------------------------------------------------------------------
+def _bench_recovery_snapshot_handoff(rounds: int = 7):
+    # Two copies of the same seeded run, at the same boundaries: the
+    # frozen synchronous writer snapshots one, the forked writer the
+    # other. Each boundary adds one journal event and one chunk to its
+    # copy, so the copies stay equal and so must the files.
+    with tempfile.TemporaryDirectory() as sync_dir, tempfile.TemporaryDirectory() as fork_dir:
+        sync = _long_hooked_run(sync_dir)
+        fork = _long_hooked_run(fork_dir)
+        sync_s = handoff_s = float("inf")
+        for _ in range(rounds):
+            manager, _, service, state = sync
+            t0 = time.perf_counter()
+            expected = oracle_sync_snapshot(manager, service, state, 0.0, Path(sync_dir))
+            t1 = time.perf_counter()
+            manager, _, service, state = fork
+            t2 = time.perf_counter()
+            manager._snapshot(service, state, 0.0)
+            t3 = time.perf_counter()
+            join_writer()
+            published = snapshot_path(fork_dir, state.i).read_bytes()
+            assert published == expected.read_bytes()
+            sync_s = min(sync_s, t1 - t0)
+            handoff_s = min(handoff_s, t3 - t2)
+        for manager, *_ in (sync, fork):
+            manager.close()
+    return {
+        "snapshot_bytes": len(published),
+        "naive_ops_per_s": 1.0 / sync_s,
+        "handoff_ops_per_s": 1.0 / handoff_s,
+        "speedup": sync_s / handoff_s,
+    }
+
+
 def test_hotpath(benchmark, figure_metrics, monkeypatch):
     gain = _bench_gain_update()
     decision = _bench_gain_decision()
@@ -583,6 +632,7 @@ def test_hotpath(benchmark, figure_metrics, monkeypatch):
     builds = _bench_skyline_builds()
     commit = _bench_recovery_commit()
     snapshot = _bench_recovery_snapshot()
+    handoff = _bench_recovery_snapshot_handoff()
     e2e = benchmark.pedantic(lambda: _bench_e2e(monkeypatch), rounds=1, iterations=1)
 
     print_header("Hot-path performance: naive oracle vs optimised layer")
@@ -604,6 +654,8 @@ def test_hotpath(benchmark, figure_metrics, monkeypatch):
              f"{commit['memoised_ops_per_s']:.1f}", f"{commit['speedup']:.1f}x"],
             ["recovery snapshot", f"{snapshot['naive_ops_per_s']:.1f}",
              f"{snapshot['incremental_ops_per_s']:.1f}", f"{snapshot['speedup']:.1f}x"],
+            ["snapshot handoff", f"{handoff['naive_ops_per_s']:.1f}",
+             f"{handoff['handoff_ops_per_s']:.1f}", f"{handoff['speedup']:.1f}x"],
             ["full sim day (30 q)", f"{e2e['naive_days_per_hour']:.1f}/h",
              f"{e2e['optimised_days_per_hour']:.1f}/h", f"{e2e['speedup']:.1f}x"],
         ],
@@ -618,6 +670,7 @@ def test_hotpath(benchmark, figure_metrics, monkeypatch):
     figure_metrics["skyline_schedule_builds"] = builds
     figure_metrics["recovery_commit"] = commit
     figure_metrics["recovery_snapshot"] = snapshot
+    figure_metrics["recovery_snapshot_handoff"] = handoff
     figure_metrics["full_sim_day"] = e2e
     benchmark.extra_info.update(
         gain_speedup=gain["speedup"],
@@ -627,6 +680,7 @@ def test_hotpath(benchmark, figure_metrics, monkeypatch):
         skyline_builds_speedup=builds["speedup"],
         recovery_commit_speedup=commit["speedup"],
         recovery_snapshot_speedup=snapshot["speedup"],
+        recovery_snapshot_handoff_speedup=handoff["speedup"],
         e2e_speedup=e2e["speedup"],
     )
 
@@ -639,4 +693,5 @@ def test_hotpath(benchmark, figure_metrics, monkeypatch):
     assert builds["speedup"] >= 30.0
     assert commit["speedup"] >= 5.0
     assert snapshot["speedup"] >= 1.5
+    assert handoff["speedup"] >= 4.0
     assert e2e["speedup"] >= 1.5

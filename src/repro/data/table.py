@@ -110,7 +110,8 @@ class Table:
 
     Partition ids are positions: ``partitions[i].partition_id == i``, as
     :func:`partition_table` numbers them, so :meth:`partition` is one
-    list index.
+    list index. The record total is summed once: :meth:`update_partition`,
+    the only writer of ``partitions``, keeps every partition's count.
     """
 
     schema: TableSchema
@@ -124,6 +125,7 @@ class Table:
                     f"partition ids of table {self.name!r} must be 0..n-1 in order; "
                     f"position {position} holds partition {part.partition_id}"
                 )
+        self._num_records = sum(p.num_records for p in self.partitions)
 
     @property
     def name(self) -> str:
@@ -131,7 +133,7 @@ class Table:
 
     @property
     def num_records(self) -> int:
-        return sum(p.num_records for p in self.partitions)
+        return self._num_records
 
     def size_mb(self) -> float:
         """Estimated table size from record count and column statistics."""

@@ -11,7 +11,8 @@ package makes it durable and resumable:
 * :mod:`repro.recovery.wal` — the append-only write-ahead journal
   (checksummed JSONL framing, torn-tail truncation on open).
 * :mod:`repro.recovery.snapshot` — atomic checksummed full-state
-  snapshots.
+  snapshots, pickled and written by a writer process forked at each
+  snapshot boundary (:func:`write_snapshot`, :func:`join_writer`).
 * :mod:`repro.recovery.manager` — :class:`RecoveryManager`: journals
   every state mutation, snapshots periodically, and resumes a killed
   run by verified deterministic re-execution, byte-identical to the
@@ -39,12 +40,13 @@ from repro.recovery.hooks import (
 )
 from repro.recovery.manager import (
     DEFAULT_SNAPSHOT_EVERY,
-    RecoveryError,
     RecoveryManager,
     RecoveryStats,
     ResumedRun,
 )
 from repro.recovery.snapshot import (
+    RecoveryError,
+    join_writer,
     list_snapshots,
     prune_snapshots,
     read_snapshot,
@@ -79,6 +81,7 @@ __all__ = [
     "encode_body",
     "frame_record",
     "install_crash_plan",
+    "join_writer",
     "list_snapshots",
     "prune_snapshots",
     "read_snapshot",

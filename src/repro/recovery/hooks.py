@@ -29,7 +29,7 @@ from __future__ import annotations
 
 import os
 import sys
-from typing import Mapping
+from typing import Callable, Mapping
 
 #: Exit code of a planned crash; the sweep driver asserts it to verify
 #: the kill actually happened (vs. the run completing untouched).
@@ -139,7 +139,10 @@ class CrashPlan:
 
     # ------------------------------------------------------------------
     def trigger(self, barrier: str) -> None:
-        """Carry out the kill (hard exit or simulated raise)."""
+        """Carry out the kill (hard exit or simulated raise), after the
+        callback installed by :func:`before_planned_crash`."""
+        if _BEFORE_CRASH is not None:
+            _BEFORE_CRASH()
         if self.hard:
             sys.stderr.write(f"repro: planned crash at {barrier}\n")
             sys.stderr.flush()
@@ -165,6 +168,18 @@ class CrashPlan:
 
 
 _ACTIVE_PLAN: CrashPlan | None = None
+
+#: Run by every planned crash before it exits or raises. The snapshot
+#: module installs its writer join here, so a planned crash leaves the
+#: run directory as a synchronous snapshot writer would.
+_BEFORE_CRASH: Callable[[], None] | None = None
+
+
+def before_planned_crash(callback: Callable[[], None]) -> None:
+    """Install the callback every planned crash runs before it exits or
+    raises."""
+    global _BEFORE_CRASH
+    _BEFORE_CRASH = callback
 
 
 def install_crash_plan(plan: CrashPlan | None) -> CrashPlan | None:

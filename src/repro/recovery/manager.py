@@ -5,10 +5,11 @@ One :class:`RecoveryManager` is attached to a :class:`QaaSService` as its
 write-ahead log and, at commit boundaries (the end of each service
 iteration), appends a commit record carrying digests of the tuning state
 and periodically pickles the *entire* run — service, loop state and the
-process-global knapsack memo — into an atomic snapshot. The obs sinks'
-append-only lists (journal events, tracer spans and instants) are the
-one exception: each snapshot appends only what they gained since the
-previous one to a framed segment file, and pickles the run without them.
+process-global knapsack memo — into an atomic snapshot, in a writer
+process forked at the boundary. The obs sinks' append-only lists
+(journal events, tracer spans and instants) are the one exception: each
+snapshot appends only what they gained since the previous one to a
+framed segment file, and pickles the run without them.
 
 Resume is **replay by re-execution**: the simulator is fully
 deterministic under a fixed seed, so instead of interpreting WAL records
@@ -39,13 +40,15 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Any
 
+from repro.interleave.knapsack import export_knapsack_cache, restore_knapsack_cache
 from repro.obs import Observation, RecordingJournal, RecordingTracer
 from repro.recovery.hooks import NOOP_RECOVERY, RecoveryLog
 from repro.recovery.snapshot import (
+    RecoveryError,
     append_chunk,
     cut_segment,
+    join_writer,
     list_snapshots,
-    prune_snapshots,
     read_chunks,
     read_snapshot,
     write_snapshot,
@@ -55,7 +58,7 @@ from repro.recovery.wal import WalRecord, WriteAheadLog, encode_body
 #: Version of the manifest and snapshot layout. Bump it whenever a pickled
 #: class changes shape, so resume refuses an old run directory at its
 #: manifest instead of failing part-way through unpickling a snapshot.
-FORMAT_VERSION = 5
+FORMAT_VERSION = 6
 
 #: Snapshots retained per run directory (older ones are pruned).
 SNAPSHOT_KEEP = 3
@@ -106,10 +109,6 @@ def rebuild_obs_lists(chunks: list[bytes], counts: ObsCounts) -> ObsLists | None
     if tuple(len(entries) for entries in lists) != counts:
         return None
     return lists
-
-
-class RecoveryError(RuntimeError):
-    """Resume cannot reproduce the logged run (divergence or corruption)."""
 
 
 @dataclass
@@ -233,6 +232,7 @@ class RecoveryManager(RecoveryLog):
         Refuses a directory that already holds a WAL: a crashed run must
         be *resumed*, not silently overwritten.
         """
+        join_writer()
         root = Path(directory)
         root.mkdir(parents=True, exist_ok=True)
         if (root / WAL_NAME).exists():
@@ -271,6 +271,7 @@ class RecoveryManager(RecoveryLog):
         caller gets a cold resume: rebuild the run from the manifest and
         replay the whole log.
         """
+        join_writer()
         root = Path(directory)
         manifest_path = root / MANIFEST_NAME
         if not manifest_path.exists():
@@ -311,8 +312,6 @@ class RecoveryManager(RecoveryLog):
             if rebuilt is None:
                 # The segment prefix it names is short, torn or corrupt.
                 continue
-            from repro.interleave.knapsack import restore_knapsack_cache
-
             restore_knapsack_cache(blob["knapsack"])
             service = blob["service"]
             state = blob["state"]
@@ -407,6 +406,7 @@ class RecoveryManager(RecoveryLog):
 
     def on_run_finished(self, service: Any, state: Any, t: float) -> None:
         """Seal the WAL; further resumes of this directory are refused."""
+        join_writer()
         self.record("run_finished", t, iteration=state.i)
         service.obs.metrics.counter("recovery/wal_records").set(float(self._position))
         self.stats.finished = True
@@ -429,21 +429,25 @@ class RecoveryManager(RecoveryLog):
         )
         # The obs lists only ever grow, so their entries past the last
         # chunk are all the segment lacks. The chunk is durable before
-        # write_snapshot publishes the snapshot that names it.
+        # write_snapshot forks the writer of the snapshot that names it.
         lists = obs_lists(service.obs)
         if lists is not None:
             chunk = segment_chunk(lists, self._obs_counts)
             self._segment_bytes += append_chunk(self.directory / SEGMENT_NAME, chunk)
             self._obs_counts = (len(lists[0]), len(lists[1]), len(lists[2]))
-        write_snapshot(self.directory, state.i, self._dumps(service, state, lists))
-        prune_snapshots(self.directory, SNAPSHOT_KEEP)
+        # The writer pickles its copy-on-write image of the run as it is
+        # here, while this process goes on with the run.
+        write_snapshot(
+            self.directory,
+            state.i,
+            lambda: self._dumps(service, state, lists),
+            keep=SNAPSHOT_KEEP,
+        )
         self._save_sidecar()
 
     def _dumps(self, service: Any, state: Any, detach: ObsLists | None) -> bytes:
         """The snapshot payload: the run pickled with the obs lists in
         ``detach`` (the segment carries them) swapped for empty lists."""
-        from repro.interleave.knapsack import export_knapsack_cache
-
         blob = {
             "format": FORMAT_VERSION,
             "iteration": state.i,
@@ -518,5 +522,9 @@ class RecoveryManager(RecoveryLog):
             return RecoveryStats()
 
     def close(self) -> None:
-        """Release the WAL file handle (idempotent)."""
-        self.wal.close()
+        """Join the snapshot writer and release the WAL file handle
+        (idempotent)."""
+        try:
+            join_writer()
+        finally:
+            self.wal.close()

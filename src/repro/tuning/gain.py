@@ -139,39 +139,47 @@ class IndexGain(NamedTuple):
     #: Number of in-window dataflow samples that contributed.
     samples: int = 0
 
+    def flags(self) -> tuple[bool, bool]:
+        """Algorithm 1's two flags, ``(beneficial, deletable)``, in one call.
+
+        *Beneficial* — build it — is both gains positive. The tolerance
+        is zero on purpose: the build hurdle is already folded into both
+        gains, so *any* strictly positive residue means the index pays
+        for itself (making the threshold explicit keeps NUM01 honest
+        without changing the paper's criterion).
+
+        *Deletable* is both gains (effectively) non-positive. A built
+        index has no remaining build hurdle, so an arbitrarily faded
+        history sample keeps its time gain mathematically positive
+        forever; gains below the configured threshold count as zero.
+        """
+        gt = self.time_gain_quanta
+        gm = self.money_gain_dollars
+        eps_t = self.delete_threshold_quanta
+        eps_m = eps_t * 0.1  # Mc dollars per quantum
+        return (
+            gt_tol(gt, 0.0, tol=0.0) and gt_tol(gm, 0.0, tol=0.0),
+            le_tol(gt, 0.0, tol=eps_t) and le_tol(gm, 0.0, tol=eps_m),
+        )
+
     @property
     def beneficial(self) -> bool:
-        """Both gains positive — the Algorithm 1 build criterion.
-
-        The tolerance is zero on purpose: the build hurdle is already
-        folded into both gains, so *any* strictly positive residue means
-        the index pays for itself (making the threshold explicit keeps
-        NUM01 honest without changing the paper's criterion).
-        """
-        return gt_tol(self.time_gain_quanta, 0.0, tol=0.0) and gt_tol(
-            self.money_gain_dollars, 0.0, tol=0.0
-        )
+        """Both gains positive — the Algorithm 1 build criterion."""
+        return self.flags()[0]
 
     @property
     def deletable(self) -> bool:
-        """Both gains (effectively) non-positive — Algorithm 1's delete.
+        """Both gains (effectively) non-positive — Algorithm 1's delete."""
+        return self.flags()[1]
 
-        A built index has no remaining build hurdle, so an arbitrarily
-        faded history sample keeps its time gain mathematically positive
-        forever; gains below the configured threshold count as zero.
-        """
-        eps_t = self.delete_threshold_quanta
-        eps_m = self.delete_threshold_quanta * 0.1  # Mc dollars per quantum
-        return le_tol(self.time_gain_quanta, 0.0, tol=eps_t) and le_tol(
-            self.money_gain_dollars, 0.0, tol=eps_m
-        )
-
-    def breakdown(self) -> dict[str, object]:
+    def breakdown(self, flags: tuple[bool, bool] | None = None) -> dict[str, object]:
         """The full Eq. 3-5 term breakdown as a JSON-ready dict.
 
         This is the payload the decision journal attaches to every
-        gain evaluation, index build and index delete event.
+        gain evaluation, index build and index delete event. ``flags``
+        are this gain's :meth:`flags`, for a caller that has them.
         """
+        beneficial, deletable = self.flags() if flags is None else flags
         return {
             "index": self.index_name,
             "time_gain_quanta": self.time_gain_quanta,
@@ -184,8 +192,8 @@ class IndexGain(NamedTuple):
             "storage_cost_dollars": self.storage_cost_dollars,
             "fade_quanta": self.fade_quanta,
             "samples": self.samples,
-            "beneficial": self.beneficial,
-            "deletable": self.deletable,
+            "beneficial": beneficial,
+            "deletable": deletable,
         }
 
 

@@ -27,7 +27,7 @@ from repro.scheduling.skyline import SkylineScheduler
 from repro.tuning.gain import GainModel, IndexGain, dataflow_index_gains
 from repro.tuning.history import DataflowHistory, DataflowRecord
 from repro.tuning.incremental import IncrementalGainEvaluator
-from repro.tuning.ranking import deletable_indexes, rank_indexes
+from repro.tuning.ranking import classify
 
 if TYPE_CHECKING:
     from repro.tuning.adaptive import AdaptiveFadingController
@@ -320,7 +320,8 @@ class OnlineIndexTuner:
         gains = self.evaluate_gains(
             now, current=dataflow, current_gains=current_gains, queued=queued
         )
-        ranked = rank_indexes(list(gains.values()))
+        classified = classify(gains.values())
+        ranked = classified.ranked
         candidates = self.build_candidates(ranked)
 
         built = self.catalog.built_indexes()
@@ -342,7 +343,7 @@ class OnlineIndexTuner:
 
         to_delete = [
             g.index_name
-            for g in deletable_indexes(list(gains.values()))
+            for g in classified.deletable
             if self.catalog.index(g.index_name).any_built
         ]
         obs = self.obs
@@ -357,7 +358,10 @@ class OnlineIndexTuner:
                 skyline_points=len(skyline),
                 ranked=[g.index_name for g in ranked],
                 to_delete=list(to_delete),
-                gains={name: g.breakdown() for name, g in sorted(gains.items())},
+                gains={
+                    name: g.breakdown(classified.flags[name])
+                    for name, g in sorted(gains.items())
+                },
             )
             for payload in slot_fill_payloads(chosen.build_assignments):
                 obs.journal.emit(
@@ -383,9 +387,10 @@ class OnlineIndexTuner:
     def periodic_cleanup(self, now: float) -> list[str]:
         """Deletion-only trigger (fires when no dataflow arrives)."""
         gains = self.evaluate_gains(now, current=None)
+        classified = classify(gains.values())
         to_delete = [
             g.index_name
-            for g in deletable_indexes(list(gains.values()))
+            for g in classified.deletable
             if self.catalog.index(g.index_name).any_built
         ]
         if self.obs.enabled:
@@ -394,7 +399,7 @@ class OnlineIndexTuner:
                 t=now,
                 to_delete=list(to_delete),
                 gains={
-                    name: g.breakdown()
+                    name: g.breakdown(classified.flags[name])
                     for name, g in sorted(gains.items())
                     if name in set(to_delete)
                 },

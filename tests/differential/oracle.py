@@ -28,6 +28,10 @@ Contents:
 * :func:`oracle_catalog_digest` — the recovery commit record's catalog
   digest, rebuilt from every index's build state. The manager's
   memoised digest must be byte-identical.
+* :func:`oracle_sync_snapshot` — a snapshot boundary as the service ran
+  it before the writer was forked: chunk, pickle, write, fsync, rename
+  and prune, all in the service process. The forked writer must
+  publish byte-identical files.
 * :class:`OracleGainModel` — Equations 3-5 one index at a time, as
   :class:`repro.tuning.gain.GainModel` evaluated them before its batched
   pass, with its cost-term memos and their cache counting.
@@ -38,9 +42,13 @@ Contents:
 from __future__ import annotations
 
 import math
+import os
+import struct
 import zlib
 from collections import deque
 from dataclasses import dataclass, field
+from pathlib import Path
+from typing import Any
 
 from repro.cloud.container import PAPER_CONTAINER, ContainerSpec
 from repro.cloud.pricing import PricingModel
@@ -65,6 +73,14 @@ from repro.interleave.knapsack import (
     fractional_bound,
 )
 from repro.perf import CacheStats
+from repro.recovery.manager import (
+    SEGMENT_NAME,
+    SNAPSHOT_KEEP,
+    RecoveryManager,
+    obs_lists,
+    segment_chunk,
+)
+from repro.recovery.snapshot import append_chunk, prune_snapshots, snapshot_path
 from repro.scheduling.schedule import Assignment, Schedule
 from repro.tuning.gain import GainModel, GainParameters, IndexGain
 from repro.tuning.history import DataflowHistory
@@ -707,6 +723,43 @@ def oracle_catalog_digest(catalog: Catalog) -> str:
             )
         parts.append(f"{zlib.crc32('|'.join(fields).encode('utf-8')):08x}")
     return f"{zlib.crc32('|'.join(parts).encode('ascii')):08x}"
+
+
+# ----------------------------------------------------------------------
+# Recovery snapshot oracle: the synchronous writer
+# ----------------------------------------------------------------------
+def oracle_sync_snapshot(
+    manager: RecoveryManager, service: Any, state: Any, t: float, directory: Path
+) -> Path:
+    """One snapshot boundary, written in the calling process.
+
+    A frozen copy of ``RecoveryManager._snapshot`` and the body of
+    ``write_snapshot`` before the writer was forked: the obs bookkeeping,
+    the segment chunk appended to the manager's segment, then the
+    pickled run written to ``directory`` (tmp, fsync, ``os.replace``),
+    pruned, and the sidecar. Returns the published path.
+    """
+    service.obs.metrics.counter("recovery/snapshots_written").inc()
+    service.obs.journal.emit(
+        "recovery_snapshot", t=t, iteration=state.i, wal_position=manager.position
+    )
+    lists = obs_lists(service.obs)
+    if lists is not None:
+        chunk = segment_chunk(lists, manager._obs_counts)
+        manager._segment_bytes += append_chunk(manager.directory / SEGMENT_NAME, chunk)
+        manager._obs_counts = (len(lists[0]), len(lists[1]), len(lists[2]))
+    payload = manager._dumps(service, state, lists)
+    final = snapshot_path(directory, state.i)
+    tmp = final.with_suffix(".tmp")
+    blob = b"RPSN1\n" + struct.pack(">I", zlib.crc32(payload)) + payload
+    with open(tmp, "wb") as file:
+        file.write(blob)
+        file.flush()
+        os.fsync(file.fileno())
+    os.replace(tmp, final)
+    prune_snapshots(directory, SNAPSHOT_KEEP)
+    manager._save_sidecar()
+    return final
 
 
 # ----------------------------------------------------------------------

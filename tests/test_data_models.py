@@ -110,6 +110,18 @@ class TestPartitioning:
             1, old.num_records, old.path)
         assert all(table.partition(pid).version == 0 for pid in (0, 1, 2, 4))
 
+    def test_record_total_matches_the_partitions(self):
+        table = self._multi()
+        total = sum(p.num_records for p in table.partitions)
+        assert table.num_records == total > 0
+        for pid in (3, 0, 3):
+            table.update_partition(pid)
+            assert table.num_records == sum(p.num_records for p in table.partitions)
+        restored = pickle.loads(pickle.dumps(table))
+        assert restored.num_records == total
+        assert restored.num_records == sum(p.num_records for p in restored.partitions)
+        assert restored == table
+
     @pytest.mark.parametrize("ids", [[1], [0, 2], [1, 0], [0, 0]])
     def test_non_positional_partition_ids_rejected(self, ids):
         partitions = [Partition(partition_id=i, num_records=5, path=f"t/{i}") for i in ids]

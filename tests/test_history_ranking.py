@@ -1,11 +1,15 @@
 """Tests for the dataflow history store and the 2D index ranking."""
 
+import math
+
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.cloud.pricing import PAPER_PRICING
+from repro.core.numeric import gt_tol, le_tol
 from repro.tuning.gain import IndexGain
 from repro.tuning.history import DataflowHistory, DataflowRecord
-from repro.tuning.ranking import deletable_indexes, rank_indexes
+from repro.tuning.ranking import classify, deletable_indexes, rank_indexes
 
 
 def record(name, at, gains=None, running=False):
@@ -100,3 +104,84 @@ class TestRanking:
             gain("zero", 0.0, 0.0),  # boundary: <= 0 deletes
         ]
         assert {g.index_name for g in deletable_indexes(gains)} == {"drop", "zero"}
+
+
+# ----------------------------------------------------------------------
+# Algorithm 1's flags, evaluated once per gain per decision
+# ----------------------------------------------------------------------
+def frozen_beneficial(g):
+    """The build flag as each decision evaluated it per call before."""
+    return gt_tol(g.time_gain_quanta, 0.0, tol=0.0) and gt_tol(
+        g.money_gain_dollars, 0.0, tol=0.0
+    )
+
+
+def frozen_deletable(g):
+    """The delete flag as each decision evaluated it per call before."""
+    eps_t = g.delete_threshold_quanta
+    eps_m = g.delete_threshold_quanta * 0.1
+    return le_tol(g.time_gain_quanta, 0.0, tol=eps_t) and le_tol(
+        g.money_gain_dollars, 0.0, tol=eps_m
+    )
+
+
+def _boundary_values(threshold):
+    return st.sampled_from([
+        0.0, -0.0, threshold, -threshold, 0.1 * threshold, -0.1 * threshold,
+        threshold * 0.1, math.nextafter(threshold, math.inf),
+        math.nextafter(threshold * 0.1, -math.inf), 5e-324, -5e-324,
+    ])
+
+
+@st.composite
+def decision_gains(draw):
+    """A decision's worth of gains: random and boundary components."""
+    threshold = draw(st.sampled_from([0.05, 0.0, 1e-3, 0.3]))
+    value = st.one_of(
+        _boundary_values(threshold),
+        st.floats(-2.0, 2.0, allow_nan=False, allow_infinity=False),
+    )
+    count = draw(st.integers(0, 12))
+    return [
+        IndexGain(
+            index_name=f"t__i{k}",
+            time_gain_quanta=draw(value),
+            money_gain_dollars=draw(value),
+            combined_dollars=draw(st.floats(-2.0, 2.0, allow_nan=False)),
+            delete_threshold_quanta=threshold,
+        )
+        for k in range(count)
+    ]
+
+
+@given(decision_gains())
+@settings(max_examples=300, deadline=None, derandomize=True)
+def test_flags_match_the_per_call_formulas(gains):
+    classified = classify(gains)
+    for g in gains:
+        expected = (frozen_beneficial(g), frozen_deletable(g))
+        assert g.flags() == expected
+        assert (g.beneficial, g.deletable) == expected
+        assert classified.flags[g.index_name] == expected
+        row = g.breakdown(classified.flags[g.index_name])
+        assert row == g.breakdown()
+        assert (row["beneficial"], row["deletable"]) == expected
+    assert classified.ranked == sorted(
+        (g for g in gains if frozen_beneficial(g)),
+        key=lambda g: (-g.combined_dollars, -g.time_gain_quanta,
+                       -g.money_gain_dollars, g.index_name),
+    )
+    assert classified.deletable == sorted(
+        (g for g in gains if frozen_deletable(g)),
+        key=lambda g: (g.combined_dollars, g.index_name),
+    )
+    assert rank_indexes(gains) == classified.ranked
+    assert deletable_indexes(gains) == classified.deletable
+
+
+def test_flags_at_the_thresholds():
+    eps = 0.05
+    at = gain("at", eps, eps * 0.1)
+    assert at.flags() == (True, True)  # pays for itself, yet below the threshold
+    assert gain("above", math.nextafter(eps, 1.0), 0.0).flags() == (False, False)
+    assert gain("signed_zero", -0.0, -0.0).flags() == (False, True)

@@ -8,9 +8,15 @@ byte-identical to the uninterrupted run of the same seed.
 from __future__ import annotations
 
 import json
+import os
 import pickle
+import subprocess
+import sys
+import time
 import zlib
 from dataclasses import replace
+from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
@@ -26,9 +32,11 @@ from repro.recovery import (
     install_crash_plan,
     scan_wal,
 )
+from repro.recovery import manager as recovery_manager
 from repro.recovery.chaos import _metrics_fingerprint
 from repro.recovery.manager import SEGMENT_NAME, obs_lists, rebuild_obs_lists
 from repro.recovery.snapshot import (
+    join_writer,
     list_snapshots,
     read_chunks,
     read_snapshot,
@@ -414,6 +422,7 @@ def test_snapshot_leaves_the_obs_lists_to_the_segment(tmp_path):
         for k in range(burst):
             obs.journal.emit("synthetic", t=0.0, k=k, label=f"event-{k}")
         manager._snapshot(service, state, 0.0)
+        join_writer()
         sizes.append((
             snapshot_path(tmp_path, state.i).stat().st_size,
             (tmp_path / SEGMENT_NAME).stat().st_size,
@@ -453,3 +462,254 @@ def test_an_admitted_position_is_never_regenerated():
     assert service.step(state) and service.step(state)
     with pytest.raises(IndexError, match="released"):
         service._dataflow_at(state, 1)
+
+
+# ----------------------------------------------------------------------
+# The forked snapshot writer: exact bytes, failures, and its lifetime
+# ----------------------------------------------------------------------
+SNAPSHOT_MAGIC = b"RPSN1\n"
+
+
+def _framed(payload: bytes) -> bytes:
+    """A snapshot file's bytes: magic, CRC32 of the payload, payload."""
+    return SNAPSHOT_MAGIC + zlib.crc32(payload).to_bytes(4, "big") + payload
+
+
+def _spy_writers(monkeypatch) -> list:
+    """Record the handle of every writer the manager forks."""
+    handles = []
+    real = recovery_manager.write_snapshot
+
+    def spy(*args, **kwargs):
+        handle = real(*args, **kwargs)
+        handles.append(handle)
+        return handle
+
+    monkeypatch.setattr(recovery_manager, "write_snapshot", spy)
+    return handles
+
+
+def _slow_writers(monkeypatch, seconds: float) -> None:
+    """Make every writer sleep before it pickles, so a writer nobody
+    joins is still running when a test looks for it."""
+    real = RecoveryManager._dumps
+
+    def slow(self, *args):
+        time.sleep(seconds)
+        return real(self, *args)
+
+    monkeypatch.setattr(RecoveryManager, "_dumps", slow)
+
+
+def _assert_gone(handles) -> None:
+    """Every writer was reaped: not running, and not a zombie either."""
+    assert handles
+    for handle in handles:
+        with pytest.raises(ProcessLookupError):
+            os.kill(handle.pid, 0)
+
+
+def _boundaries(directory, snapshot_every: int) -> list[int]:
+    """The iterations a logged run snapshots at: the base snapshot, then
+    every commit whose iteration the cadence divides."""
+    return [0] + [
+        r.payload["iteration"] for r in scan_wal(directory / "wal.jsonl").records
+        if r.payload["kind"] == "commit" and r.payload["iteration"] % snapshot_every == 0
+    ]
+
+
+def _start_small(directory, snapshot_every: int = 2):
+    config = small_config()
+    manager = RecoveryManager.start(
+        directory, config, strategy="gain", generator="phase",
+        interleaver="lp", obs_enabled=True, snapshot_every=snapshot_every,
+    )
+    service, events = prepare_run(
+        Strategy.GAIN, config=config, obs=Observation.recording(), recovery=manager
+    )
+    return manager, service, events
+
+
+def test_every_published_snapshot_is_the_synchronous_payload(tmp_path, monkeypatch):
+    """At every boundary of the hooked run, the file the writer publishes
+    is byte for byte the magic, CRC and ``_dumps`` payload computed in
+    the service process at that boundary."""
+    real = RecoveryManager._snapshot
+    boundaries = []
+
+    def checked(self, service, state, t):
+        real(self, service, state, t)
+        payload = self._dumps(service, state, obs_lists(service.obs))
+        join_writer()
+        path = snapshot_path(self.directory, state.i)
+        assert path.read_bytes() == _framed(payload)
+        boundaries.append(state.i)
+
+    monkeypatch.setattr(RecoveryManager, "_snapshot", checked)
+    _hooked_run(tmp_path)
+    assert boundaries == _boundaries(tmp_path, HOOKED_SNAPSHOT_EVERY)
+    assert len(boundaries) > 3
+
+
+def test_a_failed_writer_raises_at_the_next_join(tmp_path, capfd):
+    """A writer that cannot pickle the run exits non-zero, publishes
+    nothing, and the next join names its iteration."""
+    manager, service, events = _start_small(tmp_path)
+    state = service.begin_run(events)
+    assert service.step(state)
+    state.unpicklable = lambda: None
+    manager._snapshot(service, state, 0.0)
+    with pytest.raises(RecoveryError, match=f"iteration {state.i} .* status 1"):
+        manager.close()
+    assert "snapshot writer for snapshot-00000001.ckpt failed" in capfd.readouterr().err
+    assert [i for i, _ in list_snapshots(tmp_path)] == [0]
+    assert [p.name for p in tmp_path.glob("*.tmp")] == []
+    join_writer()  # the failed writer was reaped: nothing left to join
+
+
+def test_close_joins_the_writer(tmp_path, monkeypatch):
+    handles = _spy_writers(monkeypatch)
+    _slow_writers(monkeypatch, 0.3)
+    manager, service, events = _start_small(tmp_path)
+    service.begin_run(events)
+    manager.close()
+    _assert_gone(handles)
+    assert snapshot_path(tmp_path, 0).exists()
+
+
+def test_finishing_a_run_joins_its_last_writer(tmp_path, monkeypatch):
+    handles = _spy_writers(monkeypatch)
+    manager, service, events = _start_small(tmp_path)
+    state = service.begin_run(events)
+    while service.step(state):
+        pass
+    service.finish_run(state)
+    _assert_gone(handles)
+    assert snapshot_path(tmp_path, handles[-1].iteration).exists()
+    manager.close()
+
+
+def test_the_writer_runs_no_barrier(tmp_path):
+    """The service process runs both recovery barriers once per snapshot,
+    in order; a writer that ran any barrier would exit 99 and fail the
+    next join."""
+
+    class Tripwire(CrashPlan):
+        def __init__(self):
+            super().__init__(hard=False)
+            self.owner = os.getpid()
+            self.seen = []
+
+        def on_crash_point(self, name):
+            if os.getpid() != self.owner:
+                os._exit(99)
+            if name.startswith("recovery."):
+                self.seen.append(name)
+
+    plan = Tripwire()
+    install_crash_plan(plan)
+    run_with_recovery(tmp_path, small_config())
+    install_crash_plan(None)
+    snapshots = len(_boundaries(tmp_path, 2))
+    assert plan.seen == ["recovery.pre_snapshot", "recovery.post_snapshot"] * snapshots
+
+
+def test_a_planned_crash_joins_the_writer_first(tmp_path, monkeypatch):
+    """A crash right after a writer was forked still leaves its snapshot
+    published and the writer reaped."""
+    handles = _spy_writers(monkeypatch)
+    _slow_writers(monkeypatch, 0.3)
+    install_crash_plan(CrashPlan(point="recovery.post_snapshot", hit=2, hard=False))
+    with pytest.raises(SimulatedCrash):
+        run_with_recovery(tmp_path, small_config())
+    install_crash_plan(None)
+    _assert_gone(handles)
+    assert [i for i, _ in list_snapshots(tmp_path)] == [2, 0]
+
+
+def test_a_killed_process_joins_the_writer_first(tmp_path):
+    """A hard planned crash one commit past the boundary at iteration 4:
+    its writer sleeps through the crash unless the crash joins it."""
+    out = _run_script(
+        WRITER_SCRIPT + "sys.exit(main(" + repr([
+            "run", "--strategy", "gain", "--horizon-quanta", "6", "--seed", "7",
+            "--recover-dir", str(tmp_path), "--snapshot-every", "4",
+        ]) + "))\n",
+        REPRO_CRASH_POINT="service.post_commit", REPRO_CRASH_HIT="5",
+        expect=43,
+    )
+    _assert_gone(_printed_writers(out))
+    assert [i for i, _ in list_snapshots(tmp_path)] == [4, 0]
+
+
+def test_interpreter_exit_joins_the_writer(tmp_path):
+    """A process that exits without close() still waits for its writer."""
+    out = _run_script(WRITER_SCRIPT + f"""
+from repro import Strategy, prepare_run
+from repro.recovery.manager import RecoveryManager
+from tests.golden import hooked_config
+
+manager = RecoveryManager.start(
+    {str(tmp_path)!r}, hooked_config(), strategy="gain", generator="phase",
+    interleaver="online", obs_enabled=False,
+)
+service, events = prepare_run(
+    Strategy.GAIN, config=hooked_config(), interleaver="online", recovery=manager
+)
+service.begin_run(events)
+sys.exit(0)
+""", expect=0)
+    handles = _printed_writers(out)
+    assert [h.iteration for h in handles] == [0]
+    _assert_gone(handles)
+    assert snapshot_path(tmp_path, 0).exists()
+
+
+#: Prefix of the subprocess scripts: print each writer's pid, and make
+#: each writer sleep before it pickles.
+WRITER_SCRIPT = """
+import sys, time
+import repro.recovery.manager as recovery_manager
+from repro.cli import main
+
+real_write = recovery_manager.write_snapshot
+real_dumps = recovery_manager.RecoveryManager._dumps
+
+
+def spy(*args, **kwargs):
+    handle = real_write(*args, **kwargs)
+    print(f"writer {handle.pid} {handle.iteration}", flush=True)
+    return handle
+
+
+def slow(self, *args):
+    time.sleep(1.0)
+    return real_dumps(self, *args)
+
+
+recovery_manager.write_snapshot = spy
+recovery_manager.RecoveryManager._dumps = slow
+"""
+
+
+def _run_script(script: str, expect: int, **env: str) -> str:
+    repo = Path(__file__).resolve().parents[1]
+    environ = dict(os.environ, **env)
+    environ["PYTHONPATH"] = os.pathsep.join(
+        [str(repo / "src"), str(repo), environ.get("PYTHONPATH", "")]
+    )
+    done = subprocess.run(
+        [sys.executable, "-c", script], env=environ, capture_output=True,
+        text=True, timeout=120,
+    )
+    assert done.returncode == expect, done.stderr
+    return done.stdout
+
+
+def _printed_writers(stdout: str) -> list:
+    return [
+        SimpleNamespace(pid=int(pid), iteration=int(iteration))
+        for _, pid, iteration in (
+            line.split() for line in stdout.splitlines() if line.startswith("writer ")
+        )
+    ]

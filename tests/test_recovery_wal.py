@@ -17,8 +17,10 @@ from repro.recovery.hooks import (
     install_crash_plan,
 )
 from repro.recovery.snapshot import (
+    RecoveryError,
     append_chunk,
     cut_segment,
+    join_writer,
     list_snapshots,
     prune_snapshots,
     read_chunks,
@@ -103,37 +105,66 @@ class TestWalFraming:
 
 
 class TestSnapshots:
+    @staticmethod
+    def _write(directory, iteration, payload, keep=None):
+        """Start the writer of ``payload``, join it, return its path."""
+        return write_snapshot(directory, iteration, lambda: payload, keep=keep).join()
+
     def test_write_read_roundtrip(self, tmp_path):
         payload = b"state-bytes" * 100
-        path = write_snapshot(tmp_path, 7, payload)
+        path = self._write(tmp_path, 7, payload)
         assert path == snapshot_path(tmp_path, 7)
         assert read_snapshot(path) == payload
 
     def test_corrupt_snapshot_reads_as_none(self, tmp_path):
-        path = write_snapshot(tmp_path, 3, b"payload")
+        path = self._write(tmp_path, 3, b"payload")
         raw = bytearray(path.read_bytes())
         raw[-1] ^= 0xFF
         path.write_bytes(bytes(raw))
         assert read_snapshot(path) is None
 
     def test_truncated_snapshot_reads_as_none(self, tmp_path):
-        path = write_snapshot(tmp_path, 3, b"payload")
+        path = self._write(tmp_path, 3, b"payload")
         path.write_bytes(path.read_bytes()[:4])
         assert read_snapshot(path) is None
 
     def test_no_tmp_file_left_behind(self, tmp_path):
-        write_snapshot(tmp_path, 1, b"x")
+        self._write(tmp_path, 1, b"x")
         leftovers = [p for p in os.listdir(tmp_path) if not p.endswith(".ckpt")]
         assert leftovers == []
 
     def test_list_and_prune_keep_newest(self, tmp_path):
         for i in (1, 5, 3, 9):
-            write_snapshot(tmp_path, i, f"snap-{i}".encode())
+            self._write(tmp_path, i, f"snap-{i}".encode())
         assert [i for i, _ in list_snapshots(tmp_path)] == [9, 5, 3, 1]
         prune_snapshots(tmp_path, keep=2)
         assert [i for i, _ in list_snapshots(tmp_path)] == [9, 5]
         with pytest.raises(ValueError):
             prune_snapshots(tmp_path, keep=0)
+
+    def test_the_writer_prunes_after_publishing(self, tmp_path):
+        for i in (1, 5, 3, 9):
+            self._write(tmp_path, i, f"snap-{i}".encode(), keep=2)
+        assert [i for i, _ in list_snapshots(tmp_path)] == [9, 5]
+
+    def test_a_failed_writer_raises_at_the_next_snapshot(self, tmp_path):
+        """The next snapshot joins the previous writer before it forks,
+        so a failure surfaces there and no second writer starts."""
+        write_snapshot(tmp_path, 1, lambda: 1 // 0)
+        with pytest.raises(RecoveryError, match="iteration 1 .* status 1"):
+            write_snapshot(tmp_path, 2, lambda: b"never written")
+        join_writer()
+        assert list_snapshots(tmp_path) == []
+
+    def test_another_writers_stale_tmp_file_is_ignored(self, tmp_path):
+        """A writer that a crash orphaned may leave a temp file named
+        after its pid; it is no snapshot and no later writer touches it."""
+        stale = tmp_path / f"{snapshot_path(tmp_path, 4).name}.1.tmp"
+        stale.write_bytes(b"half a snapsh")
+        path = self._write(tmp_path, 4, b"payload")
+        assert read_snapshot(path) == b"payload"
+        assert list_snapshots(tmp_path) == [(4, path)]
+        assert stale.read_bytes() == b"half a snapsh"
 
 
 class TestSegment:
