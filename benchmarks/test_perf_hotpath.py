@@ -425,14 +425,11 @@ class _OracleGainSums:
         self.history = history
         self.stats = CacheStats()
 
-    def faded_sums(self, index_name, now, fade_quanta=None):
-        return oracle_faded_sums(self.model, self.history, index_name, now, fade_quanta)
+    def faded_sums(self, index_name, now):
+        return oracle_faded_sums(self.model, self.history, index_name, now)
 
-    def faded_sums_many(self, names, now, fades=None):
-        return [
-            self.faded_sums(name, now, None if fades is None else fades[k])
-            for k, name in enumerate(names)
-        ]
+    def faded_sums_many(self, names, now):
+        return [self.faded_sums(name, now) for name in names]
 
 
 E2E_CONFIG = ExperimentConfig(

@@ -11,7 +11,6 @@ from repro.cloud.cache import CacheStats, LRUCache
 from repro.cloud.container import ContainerSpec, PAPER_CONTAINER
 from repro.cloud.pricing import PAPER_PRICING, PricingModel
 from repro.cloud.storage import CloudStorage, StoredObject
-from repro.cloud.vmtypes import VMType, default_vm_catalog
 
 __all__ = [
     "CacheStats",
@@ -22,6 +21,4 @@ __all__ = [
     "PricingModel",
     "CloudStorage",
     "StoredObject",
-    "VMType",
-    "default_vm_catalog",
 ]

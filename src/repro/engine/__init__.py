@@ -34,7 +34,6 @@ from repro.engine.optimizer import (
     ProbeOutcome,
 )
 from repro.engine.heap import HeapFile
-from repro.engine.partitioned import GlobalRowId, PartitionedHeap, PartitionedIndex
 from repro.engine.queries import (
     QueryTiming,
     build_lineitem_heap,
@@ -50,9 +49,6 @@ __all__ = [
     "Predicate",
     "ProbeOutcome",
     "HeapFile",
-    "GlobalRowId",
-    "PartitionedHeap",
-    "PartitionedIndex",
     "QueryTiming",
     "build_lineitem_heap",
     "measure_table6_speedups",

@@ -5,8 +5,7 @@ heap file and the set of available indexes, estimate the cost of each
 access path (full scan, B+tree probe/range, hash probe) from cardinality
 and selectivity statistics, and pick the cheapest. This grounds the
 paper's "if an index is available and beneficial" — beneficial is a cost
-comparison, not a flag — and the same estimates power the what-if
-advisor.
+comparison, not a flag.
 
 Costs are abstract "row touches": a full scan touches every row; an
 index path touches ``log_k(n)`` internal entries plus the matching rows

@@ -58,7 +58,7 @@ from repro.recovery.wal import WalRecord, WriteAheadLog, encode_body
 #: Version of the manifest and snapshot layout. Bump it whenever a pickled
 #: class changes shape, so resume refuses an old run directory at its
 #: manifest instead of failing part-way through unpickling a snapshot.
-FORMAT_VERSION = 6
+FORMAT_VERSION = 7
 
 #: Snapshots retained per run directory (older ones are pruned).
 SNAPSHOT_KEEP = 3
@@ -210,6 +210,9 @@ class RecoveryManager(RecoveryLog):
         #: chunks reach (restored from the snapshot on resume).
         self._segment_bytes = segment_bytes
         self._obs_counts = obs_counts
+        #: The sidecar text this manager last wrote (``None`` before its
+        #: first write).
+        self._sidecar_text: str | None = None
 
     # ------------------------------------------------------------------
     # Lifecycle
@@ -507,9 +510,17 @@ class RecoveryManager(RecoveryLog):
         return self._position
 
     def _save_sidecar(self) -> None:
-        (self.directory / SIDECAR_NAME).write_text(
-            json.dumps(self.stats.to_dict(), sort_keys=True, indent=2) + "\n"
-        )
+        """Write the counters to the sidecar unless it holds them already.
+
+        They move only during a resume's replay and at the run's end, so
+        most snapshots skip the write. Since this manager is the file's
+        one writer, the file holds at every instant what a write at
+        every snapshot would leave.
+        """
+        text = json.dumps(self.stats.to_dict(), sort_keys=True, indent=2) + "\n"
+        if text != self._sidecar_text:
+            (self.directory / SIDECAR_NAME).write_text(text)
+            self._sidecar_text = text
 
     @staticmethod
     def _load_sidecar(root: Path) -> RecoveryStats:

@@ -8,7 +8,6 @@ from repro.scheduling.schedule import (
     InfeasibleScheduleError,
     Schedule,
 )
-from repro.scheduling.hetero import HeteroSchedule, HeterogeneousSkylineScheduler
 from repro.scheduling.skyline import SkylineScheduler
 
 __all__ = [
@@ -20,6 +19,4 @@ __all__ = [
     "InfeasibleScheduleError",
     "Schedule",
     "SkylineScheduler",
-    "HeteroSchedule",
-    "HeterogeneousSkylineScheduler",
 ]

@@ -1,12 +1,4 @@
-"""Online auto-tuning: gain model, history, ranking, Algorithm 1 tuner.
-
-Also hosts the future-work extensions: the what-if index advisor, the
-adaptive per-index fading controller, and the deferred-build policy.
-"""
-
-from repro.tuning.adaptive import AdaptiveFadingController, UsageTrace
-from repro.tuning.advisor import IndexAdvisor, Recommendation
-from repro.tuning.deferred import BuildBatch, DeferredBuildPolicy
+"""Online auto-tuning: gain model, history, ranking, Algorithm 1 tuner."""
 
 from repro.tuning.gain import (
     DataflowGainSample,
@@ -20,12 +12,6 @@ from repro.tuning.ranking import deletable_indexes, rank_indexes
 from repro.tuning.tuner import OnlineIndexTuner, TunerDecision
 
 __all__ = [
-    "AdaptiveFadingController",
-    "UsageTrace",
-    "IndexAdvisor",
-    "Recommendation",
-    "BuildBatch",
-    "DeferredBuildPolicy",
     "DataflowGainSample",
     "GainModel",
     "GainParameters",

@@ -225,19 +225,11 @@ class GainModel:
     # ------------------------------------------------------------------
     # Building blocks
     # ------------------------------------------------------------------
-    def fading(self, age_quanta: float, fade_quanta: float | None = None) -> float:
-        """dc(t) = e^(-t/D) — discounts historical dataflows.
-
-        ``fade_quanta`` overrides the global controller ``D`` for one
-        index (the adaptive-controller extension; Section 7's future
-        work allows per-index values).
-        """
+    def fading(self, age_quanta: float) -> float:
+        """dc(t) = e^(-t/D) — discounts historical dataflows."""
         if age_quanta < 0:
             raise ValueError("age cannot be negative")
-        fade = self.params.fade_quanta if fade_quanta is None else fade_quanta
-        if fade <= 0:
-            raise ValueError("fade_quanta must be positive")
-        return math.exp(-age_quanta / fade)
+        return math.exp(-age_quanta / self.params.fade_quanta)
 
     def in_window(self, age_quanta: float) -> bool:
         """δ(d, t): whether the dataflow still counts at all."""
@@ -323,12 +315,7 @@ class GainModel:
     # ------------------------------------------------------------------
     # Equations 4, 5, 3
     # ------------------------------------------------------------------
-    def evaluate(
-        self,
-        index: Index,
-        samples: list[DataflowGainSample],
-        fade_quanta: float | None = None,
-    ) -> IndexGain:
+    def evaluate(self, index: Index, samples: list[DataflowGainSample]) -> IndexGain:
         """Equation 3 over a raw sample list: folds the in-window samples
         into the two faded inflows, then :meth:`evaluate_from_sums`."""
         mc = self.pricing.quantum_price
@@ -338,11 +325,11 @@ class GainModel:
         for s in samples:
             if not self.in_window(s.age_quanta):
                 continue
-            dc = self.fading(s.age_quanta, fade_quanta)
+            dc = self.fading(s.age_quanta)
             faded_time += dc * s.time_gain_quanta
             faded_money += dc * mc * s.money_gain_quanta
             in_window += 1
-        return self.evaluate_from_sums(index, faded_time, faded_money, in_window, fade_quanta)
+        return self.evaluate_from_sums(index, faded_time, faded_money, in_window)
 
     def evaluate_from_sums(
         self,
@@ -350,7 +337,6 @@ class GainModel:
         faded_time_quanta: float,
         faded_money_dollars: float,
         samples_in_window: int,
-        fade_quanta: float | None = None,
     ) -> IndexGain:
         """Equations 3-5 from pre-aggregated benefit inflows.
 
@@ -362,9 +348,8 @@ class GainModel:
         4 is ``gm`` and Equation 3 weights the two. This is the one-index
         case of :meth:`evaluate_many`.
         """
-        fades = None if fade_quanta is None else [fade_quanta]
         return self.evaluate_many(
-            [index], [faded_time_quanta], [faded_money_dollars], [samples_in_window], fades
+            [index], [faded_time_quanta], [faded_money_dollars], [samples_in_window]
         )[0]
 
     def evaluate_many(
@@ -373,19 +358,18 @@ class GainModel:
         faded_time_quanta: Sequence[float],
         faded_money_dollars: Sequence[float],
         samples_in_window: Sequence[int],
-        fades: Sequence[float] | None = None,
     ) -> list[IndexGain]:
         """:meth:`evaluate_from_sums` of every index in ``indexes``, in order.
 
-        Entry ``k`` of each sequence holds the inflows, the sample count
-        and (with ``fades``) the fading controller of ``indexes[k]``. One
-        decision scores every potential index in this one loop. Each
-        index looks up its memoised ``(ti, Mc·ti)`` and ``st`` once, as
-        the per-index path does, and ``gt``, ``gm`` and ``g`` are the same
-        expressions evaluated in the same order, so every float is the
-        one :meth:`evaluate_from_sums` would return; only the per-decision
-        constants are read once and the cache hits counted in one
-        addition (misses at the same events as before).
+        Entry ``k`` of each sequence holds the inflows and the sample
+        count of ``indexes[k]``. One decision scores every potential
+        index in this one loop. Each index looks up its memoised
+        ``(ti, Mc·ti)`` and ``st`` once, as the per-index path does, and
+        ``gt``, ``gm`` and ``g`` are the same expressions evaluated in the
+        same order, so every float is the one :meth:`evaluate_from_sums`
+        would return; only the per-decision constants are read once and
+        the cache hits counted in one addition (misses at the same events
+        as before).
         """
         build_cache = self._build_time_cache
         storage_cache = self._storage_cache
@@ -416,7 +400,7 @@ class GainModel:
             out.append(IndexGain(
                 name, gt, gm, time_weight * gt + money_weight * gm, threshold,
                 faded_time, faded_money, build_time, build_cost, storage_cost,
-                fade if fades is None else fades[k], samples_in_window[k],
+                fade, samples_in_window[k],
             ))
         self.cost_stats.hit(hits)
         return out

@@ -20,8 +20,8 @@ so one advance costs O(changed entries): one multiply for the decay,
 one subtraction per sample that left the window (or was evicted from
 the bounded history), one addition per newly recorded dataflow. The
 state rebuilds itself from the history whenever an exact replay is not
-possible (a record was replaced in place, time moved backwards, the
-fading controller changed D for the index).
+possible (a record was replaced in place, time moved backwards, or the
+window is not in ``executed_at`` order, so expiry is not a prefix).
 
 Numerical contract: the rescaled sum is *tolerance-equal* — not
 bit-identical — to the naive per-sample sum, because float
@@ -42,8 +42,9 @@ on its own, because it changes only how often a value is computed, never
 the expression or the order of the float operations on a state:
 
 * the decay factor ``exp(-(now - last_now)/tq / D)`` is a pure function
-  of ``(last_now, D)`` at one ``now``, so states advanced together from
-  the same previous decision share one computation of it;
+  of ``last_now`` at one ``now`` (``D`` is the model's), so states
+  advanced together from the same previous decision share one
+  computation of it;
 * an index whose newest record (``DataflowHistory.newest_position``)
   precedes the state's consumed position has nothing to consume, so its
   history lookup yields nothing and is skipped;
@@ -72,10 +73,9 @@ REFRESH_EVERY = 32
 
 
 class _IndexState:
-    """Running sums and sliding window of one (index, fade) stream."""
+    """Running sums and sliding window of one index."""
 
     __slots__ = (
-        "fade",
         "version",
         "last_now",
         "consumed",
@@ -84,11 +84,11 @@ class _IndexState:
         "window",
         "running",
         "future",
+        "unordered",
         "advances",
     )
 
-    def __init__(self, fade: float, version: int, now: float) -> None:
-        self.fade = fade
+    def __init__(self, version: int, now: float) -> None:
         self.version = version
         self.last_now = now
         #: History position one past the newest consumed record.
@@ -98,7 +98,7 @@ class _IndexState:
         #: Σ dc(ΔT)·Mc·gmd over the in-window finished samples, dollars.
         self.sum_money = 0.0
         #: (position, executed_at, gtd, gmd) of tracked finished samples,
-        #: oldest first (history appends in finish order).
+        #: in position order (history appends in finish order).
         self.window: deque[tuple[int, float, float, float]] = deque()
         #: (position, gtd, gmd) of running records: they contribute at
         #: dc(0) = 1 and must not decay, so they stay out of the sums.
@@ -109,22 +109,30 @@ class _IndexState:
         #: so they contribute at dc(0) = 1 outside the sums until "now"
         #: catches up, at which point the state rebuilds exactly.
         self.future: list[tuple[int, float, float, float]] = []
+        #: Whether a window entry is older than one before it. A rebuild
+        #: appends in position order, and an out-of-order append, a
+        #: running-to-finished flip or a caught-up future-dated record
+        #: can leave that apart from ``executed_at`` order. Prefix expiry
+        #: would then keep an expired entry behind an in-window one, so
+        #: such a state rebuilds exactly at every advance until ordered.
+        self.unordered = False
         self.advances = 0
 
 
 class IncrementalGainEvaluator:
     """Maintains the faded gain sums of every index across decisions.
 
-    Usage: ``faded_sums(name, now, fade)`` returns
-    ``(S_t, S_m, samples_in_window)``, and ``faded_sums_many(names, now,
-    fades)`` a list of them, one per name — exactly the aggregates
+    Usage: ``faded_sums(name, now)`` returns ``(S_t, S_m,
+    samples_in_window)``, and ``faded_sums_many(names, now)`` a list of
+    them, one per name — exactly the aggregates
     :meth:`repro.tuning.gain.GainModel.evaluate_from_sums` consumes.
     Live (running/queued) dataflow contributions are *not* included;
     the tuner adds them at dc(0) = 1 on top, mirroring the naive path.
 
     Cache behaviour is observable: ``stats.hits`` counts O(δ) advances,
     ``stats.misses`` counts full rebuilds, and ``stats.invalidations``
-    counts rebuilds forced by history mutation or fade changes.
+    counts rebuilds forced by history mutation, time moving backwards,
+    a caught-up future-dated record or an unordered window.
 
     Crash-recovery contract (``repro.recovery``): because the rescaled
     sums are only *tolerance-equal* to a from-scratch refold, a restored
@@ -146,23 +154,19 @@ class IncrementalGainEvaluator:
     # ------------------------------------------------------------------
     # Public API
     # ------------------------------------------------------------------
-    def faded_sums(
-        self, index_name: str, now: float, fade_quanta: float | None = None
-    ) -> tuple[float, float, int]:
+    def faded_sums(self, index_name: str, now: float) -> tuple[float, float, int]:
         """(Σ dc·gtd, Σ dc·Mc·gmd, #in-window samples) at ``now``."""
-        fades = None if fade_quanta is None else [fade_quanta]
-        return self.faded_sums_many([index_name], now, fades)[0]
+        return self.faded_sums_many([index_name], now)[0]
 
     def faded_sums_many(
-        self, names: Sequence[str], now: float, fades: Sequence[float] | None = None
+        self, names: Sequence[str], now: float
     ) -> list[tuple[float, float, int]]:
         """:meth:`faded_sums` of every name in ``names`` at ``now``, in order.
 
-        ``fades[k]`` is the fading horizon D of ``names[k]``; without
-        ``fades`` every name uses the model's. One decision advances every
-        index in this one pass: a decay factor is computed once per
-        distinct (previous now, D), and an index with no record appended
-        since its last advance skips the history lookup.
+        One decision advances every index in this one pass: a decay
+        factor is computed once per distinct previous now, and an index
+        with no record appended since its last advance skips the history
+        lookup.
         """
         history = self.history
         version = history.mutation_version
@@ -173,45 +177,48 @@ class IncrementalGainEvaluator:
         tq = pricing.quantum_seconds
         mc = pricing.quantum_price
         window_q = self.model.params.window_quanta
-        default_fade = self.model.params.fade_quanta
+        fade = self.model.params.fade_quanta
         states = self._states
         stats = self.stats
-        decays: dict[tuple[float, float], float] = {}
+        decays: dict[float, float] = {}
         hits = 0
         out: list[tuple[float, float, int]] = []
-        for k, name in enumerate(names):
-            fade = default_fade if fades is None else fades[k]
+        for name in names:
             state = states.get(name)
             if state is None:
                 stats.miss()
-                state = self._rebuild(name, now, fade)
-            elif state.fade != fade or state.version != version or now < state.last_now:
+                state = self._rebuild(name, now)
+            elif state.version != version or now < state.last_now:
                 stats.invalidate()
-                state = self._rebuild(name, now, fade)
-            elif state.future and any(at <= now for _, at, _, _ in state.future):
+                state = self._rebuild(name, now)
+            elif state.unordered or (
+                state.future and any(at <= now for _, at, _, _ in state.future)
+            ):
                 # A future-dated record that "now" has caught up with
-                # must start decaying from its true age: only an exact
-                # rebuild slots it into the ordered window correctly.
-                # Counted as a hit, then an invalidation.
+                # must start decaying from its true age, and an unordered
+                # window cannot expire by prefix: only an exact rebuild
+                # gives either its sums. Counted as a hit, then an
+                # invalidation.
                 hits += 1
                 stats.invalidate()
-                state = self._rebuild(name, now, fade)
+                state = self._rebuild(name, now)
             else:
                 hits += 1
                 # Decay-rescale the sums from last_now to now, by the
-                # factor every state with the same (last_now, fade)
-                # shares.
+                # factor every state with the same last_now shares.
                 if now > state.last_now:
-                    key = (state.last_now, fade)
-                    decay = decays.get(key)
+                    decay = decays.get(state.last_now)
                     if decay is None:
-                        decay = decays[key] = math.exp(-((now - state.last_now) / tq) / fade)
+                        decay = decays[state.last_now] = math.exp(
+                            -((now - state.last_now) / tq) / fade
+                        )
                     state.sum_time *= decay
                     state.sum_money *= decay
                 state.last_now = now
                 # Expire from the front: head-evicted records and records
                 # that slid out of the window. The window is ordered by
-                # position and (per the monotone-append check below) by
+                # position and, since the state is not ``unordered`` and
+                # the check below refuses an out-of-order append, by
                 # executed_at, so expiry only ever removes a prefix.
                 # ``not age > 0.0`` keeps the zero ``max(0.0, age)`` keeps.
                 window = state.window
@@ -234,7 +241,7 @@ class IncrementalGainEvaluator:
                 # the lookup when the index's newest record predates them.
                 if newest(name) >= state.consumed and not self._consume(state, name, now):
                     stats.invalidate()
-                    state = self._rebuild(name, now, fade)
+                    state = self._rebuild(name, now)
                 else:
                     state.consumed = end
                     # A periodic exact refresh bounds the drift.
@@ -282,12 +289,14 @@ class IncrementalGainEvaluator:
     # ------------------------------------------------------------------
     # Internals
     # ------------------------------------------------------------------
-    def _rebuild(self, index_name: str, now: float, fade: float) -> _IndexState:
+    def _rebuild(self, index_name: str, now: float) -> _IndexState:
         history = self.history
         pricing = self.model.pricing
         window_q = self.model.params.window_quanta
+        fade = self.model.params.fade_quanta
         mc = pricing.quantum_price
-        state = _IndexState(fade=fade, version=history.mutation_version, now=now)
+        state = _IndexState(version=history.mutation_version, now=now)
+        window = state.window
         for position, record in history.entries_for(index_name):
             gtd = record.time_gains.get(index_name, 0.0)
             gmd = record.money_gains.get(index_name, 0.0)
@@ -299,10 +308,12 @@ class IncrementalGainEvaluator:
                 continue
             age = record.age_quanta(now, pricing)
             if age <= window_q:
+                if window and record.executed_at < window[-1][1]:
+                    state.unordered = True
                 dc = math.exp(-age / fade)
                 state.sum_time += dc * gtd
                 state.sum_money += dc * mc * gmd
-                state.window.append((position, record.executed_at, gtd, gmd))
+                window.append((position, record.executed_at, gtd, gmd))
         state.consumed = history.end_position
         self._states[index_name] = state
         return state
@@ -314,6 +325,7 @@ class IncrementalGainEvaluator:
         the caller rebuilds exactly)."""
         pricing = self.model.pricing
         window_q = self.model.params.window_quanta
+        fade = self.model.params.fade_quanta
         mc = pricing.quantum_price
         for position, record in self.history.entries_for(index_name, state.consumed):
             gtd = record.time_gains.get(index_name, 0.0)
@@ -328,7 +340,7 @@ class IncrementalGainEvaluator:
                 return False
             age = record.age_quanta(now, pricing)
             if age <= window_q:
-                dc = math.exp(-age / state.fade)
+                dc = math.exp(-age / fade)
                 state.sum_time += dc * gtd
                 state.sum_money += dc * mc * gmd
                 state.window.append((position, record.executed_at, gtd, gmd))

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from collections import OrderedDict
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Any
+from typing import Any
 
 from repro.data.catalog import Catalog
 from repro.data.index_model import Index
@@ -28,9 +28,6 @@ from repro.tuning.gain import GainModel, IndexGain, dataflow_index_gains
 from repro.tuning.history import DataflowHistory, DataflowRecord
 from repro.tuning.incremental import IncrementalGainEvaluator
 from repro.tuning.ranking import classify
-
-if TYPE_CHECKING:
-    from repro.tuning.adaptive import AdaptiveFadingController
 
 
 @dataclass
@@ -89,7 +86,6 @@ class OnlineIndexTuner:
         scheduler: SkylineScheduler,
         interleaver: str = "lp",
         max_candidates: int = 150,
-        fading_controller: AdaptiveFadingController | None = None,
         obs: Observation | None = None,
     ) -> None:
         if interleaver not in ("lp", "online"):
@@ -103,9 +99,6 @@ class OnlineIndexTuner:
         self.interleaver = interleaver
         self.max_candidates = max_candidates
         self.obs = obs if obs is not None else NOOP_OBS
-        # Optional AdaptiveFadingController: learns a per-index fading
-        # horizon D from usage regularity (Section 7 future work).
-        self.fading_controller = fading_controller
         # Incremental maintenance of the faded gain sums: the running
         # aggregates are decay-rescaled between decisions instead of
         # re-folding the whole window (tolerance-equal to the naive
@@ -221,12 +214,10 @@ class OnlineIndexTuner:
             names |= set(time_gains)
         indexes = self.catalog.indexes
         known = [name for name in sorted(names) if name in indexes]
-        controller = self.fading_controller
-        fades = None if controller is None else [controller.suggest_fade(n) for n in known]
         # Historical inflow from the maintained running sums, every index
         # advanced in one pass; live dataflows contribute at dc(0) = 1 on
         # top (age 0), added to each index in live order.
-        sums = self._incremental.faded_sums_many(known, now, fades)
+        sums = self._incremental.faded_sums_many(known, now)
         sum_t = [terms[0] for terms in sums]
         sum_m = [terms[1] for terms in sums]
         counts = [terms[2] for terms in sums]
@@ -240,7 +231,7 @@ class OnlineIndexTuner:
                     sum_m[at] += mc * money_gains[name]
                     counts[at] += 1
         evaluated = self.gain_model.evaluate_many(
-            [indexes[name] for name in known], sum_t, sum_m, counts, fades
+            [indexes[name] for name in known], sum_t, sum_m, counts
         )
         return dict(zip(known, evaluated))
 
@@ -314,8 +305,6 @@ class OnlineIndexTuner:
         """
         crash_point("tuner.pre_rank")
         note("tuner.decide")
-        if self.fading_controller is not None:
-            self.fading_controller.record_dataflow(dataflow.candidate_indexes, now)
         current_gains = self.dataflow_gains(dataflow)
         gains = self.evaluate_gains(
             now, current=dataflow, current_gains=current_gains, queued=queued

@@ -94,7 +94,6 @@ def oracle_faded_sums(
     history: DataflowHistory,
     index_name: str,
     now: float,
-    fade_quanta: float | None = None,
 ) -> tuple[float, float, int]:
     """(Σ dc·gtd, Σ dc·Mc·gmd, #in-window samples) by direct summation.
 
@@ -109,7 +108,7 @@ def oracle_faded_sums(
     for sample in history.samples_for(index_name, now):
         if not model.in_window(sample.age_quanta):
             continue
-        dc = model.fading(sample.age_quanta, fade_quanta)
+        dc = model.fading(sample.age_quanta)
         sum_time += dc * sample.time_gain_quanta
         sum_money += dc * mc * sample.money_gain_quanta
         count += 1
@@ -124,10 +123,9 @@ _ORACLE_REFRESH_EVERY = 32
 
 
 class _OracleIndexState:
-    """Running sums and sliding window of one (index, fade) stream."""
+    """Running sums and sliding window of one index."""
 
     __slots__ = (
-        "fade",
         "version",
         "last_now",
         "consumed",
@@ -136,11 +134,11 @@ class _OracleIndexState:
         "window",
         "running",
         "future",
+        "unordered",
         "advances",
     )
 
-    def __init__(self, fade: float, version: int, now: float) -> None:
-        self.fade = fade
+    def __init__(self, version: int, now: float) -> None:
         self.version = version
         self.last_now = now
         self.consumed = 0
@@ -149,13 +147,15 @@ class _OracleIndexState:
         self.window: deque[tuple[int, float, float, float]] = deque()
         self.running: list[tuple[int, float, float]] = []
         self.future: list[tuple[int, float, float, float]] = []
+        self.unordered = False
         self.advances = 0
 
 
 class OracleIncrementalGainEvaluator:
-    """The incremental evaluator exactly as it was before the batched
-    pass: each ``faded_sums`` call rebuilds or advances one index, with
-    its own decay factor and its own history lookup."""
+    """The incremental evaluator as it was before the batched pass: each
+    ``faded_sums`` call rebuilds or advances one index, with its own
+    decay factor and its own history lookup. Its rebuild causes are the
+    evaluator's, including a window out of ``executed_at`` order."""
 
     def __init__(self, model: GainModel, history: DataflowHistory) -> None:
         self.model = model
@@ -163,21 +163,14 @@ class OracleIncrementalGainEvaluator:
         self.stats = CacheStats()
         self._states: dict[str, _OracleIndexState] = {}
 
-    def faded_sums(
-        self, index_name: str, now: float, fade_quanta: float | None = None
-    ) -> tuple[float, float, int]:
-        fade = self.model.params.fade_quanta if fade_quanta is None else fade_quanta
+    def faded_sums(self, index_name: str, now: float) -> tuple[float, float, int]:
         state = self._states.get(index_name)
         if state is None:
             self.stats.miss()
-            state = self._rebuild(index_name, now, fade)
-        elif (
-            state.fade != fade
-            or state.version != self.history.mutation_version
-            or now < state.last_now
-        ):
+            state = self._rebuild(index_name, now)
+        elif state.version != self.history.mutation_version or now < state.last_now:
             self.stats.invalidate()
-            state = self._rebuild(index_name, now, fade)
+            state = self._rebuild(index_name, now)
         else:
             self.stats.hit()
             state = self._advance(state, index_name, now)
@@ -203,12 +196,13 @@ class OracleIncrementalGainEvaluator:
             len(state.window) + alive_flat,
         )
 
-    def _rebuild(self, index_name: str, now: float, fade: float) -> _OracleIndexState:
+    def _rebuild(self, index_name: str, now: float) -> _OracleIndexState:
         history = self.history
         pricing = self.model.pricing
         window_q = self.model.params.window_quanta
+        fade = self.model.params.fade_quanta
         mc = pricing.quantum_price
-        state = _OracleIndexState(fade=fade, version=history.mutation_version, now=now)
+        state = _OracleIndexState(version=history.mutation_version, now=now)
         for position, record in history.entries_for(index_name):
             gtd = record.time_gains.get(index_name, 0.0)
             gmd = record.money_gains.get(index_name, 0.0)
@@ -220,6 +214,8 @@ class OracleIncrementalGainEvaluator:
                 continue
             age = record.age_quanta(now, pricing)
             if age <= window_q:
+                if state.window and record.executed_at < state.window[-1][1]:
+                    state.unordered = True
                 dc = math.exp(-age / fade)
                 state.sum_time += dc * gtd
                 state.sum_money += dc * mc * gmd
@@ -234,13 +230,16 @@ class OracleIncrementalGainEvaluator:
         history = self.history
         pricing = self.model.pricing
         window_q = self.model.params.window_quanta
+        fade = self.model.params.fade_quanta
         mc = pricing.quantum_price
-        if state.future and any(executed_at <= now for _, executed_at, _, _ in state.future):
+        if state.unordered or (
+            state.future and any(executed_at <= now for _, executed_at, _, _ in state.future)
+        ):
             self.stats.invalidate()
-            return self._rebuild(index_name, now, state.fade)
+            return self._rebuild(index_name, now)
         if now > state.last_now:
             delta_q = pricing.quanta(now - state.last_now)
-            decay = math.exp(-delta_q / state.fade)
+            decay = math.exp(-delta_q / fade)
             state.sum_time *= decay
             state.sum_money *= decay
         state.last_now = now
@@ -251,7 +250,7 @@ class OracleIncrementalGainEvaluator:
             if position >= head and age <= window_q:
                 break
             state.window.popleft()
-            dc = math.exp(-age / state.fade)
+            dc = math.exp(-age / fade)
             state.sum_time -= dc * gtd
             state.sum_money -= dc * mc * gmd
         if state.running:
@@ -269,10 +268,10 @@ class OracleIncrementalGainEvaluator:
                 continue
             if state.window and record.executed_at < state.window[-1][1]:
                 self.stats.invalidate()
-                return self._rebuild(index_name, now, state.fade)
+                return self._rebuild(index_name, now)
             age = record.age_quanta(now, pricing)
             if age <= window_q:
-                dc = math.exp(-age / state.fade)
+                dc = math.exp(-age / fade)
                 state.sum_time += dc * gtd
                 state.sum_money += dc * mc * gmd
                 state.window.append((position, record.executed_at, gtd, gmd))
@@ -283,7 +282,7 @@ class OracleIncrementalGainEvaluator:
             sum_money = 0.0
             for _position, executed_at, gtd, gmd in state.window:
                 age = max(0.0, pricing.quanta(now - executed_at))
-                dc = math.exp(-age / state.fade)
+                dc = math.exp(-age / fade)
                 sum_time += dc * gtd
                 sum_money += dc * mc * gmd
             state.sum_time = sum_time
@@ -819,7 +818,6 @@ class OracleGainModel:
         faded_time_quanta: float,
         faded_money_dollars: float,
         samples_in_window: int,
-        fade_quanta: float | None = None,
     ) -> IndexGain:
         build_time = self.build_time_quanta(index)
         build_cost = self.pricing.quantum_price * build_time
@@ -828,7 +826,6 @@ class OracleGainModel:
         gm = faded_money_dollars - (build_cost + storage_cost)
         alpha = self.params.alpha
         combined = alpha * self.pricing.quantum_price * gt + (1.0 - alpha) * gm
-        fade = self.params.fade_quanta if fade_quanta is None else fade_quanta
         return IndexGain(
             index_name=index.name,
             time_gain_quanta=gt,
@@ -840,6 +837,6 @@ class OracleGainModel:
             build_time_quanta=build_time,
             build_cost_dollars=build_cost,
             storage_cost_dollars=storage_cost,
-            fade_quanta=fade,
+            fade_quanta=self.params.fade_quanta,
             samples=samples_in_window,
         )

@@ -187,11 +187,10 @@ _events = st.lists(
                   st.floats(min_value=0.0, max_value=50.0)),
         st.tuples(st.just("drop"), _which),
         st.tuples(st.just("forget"), _which),
-        # (time sums, money sums, mask of the indexes asked for, fades?)
+        # (time sums, money sums, mask of the indexes asked for)
         st.tuples(st.just("decide"), _sums, _sums,
-                  st.integers(min_value=1, max_value=2 ** NUM_INDEXES - 1),
-                  st.booleans()),
-        st.tuples(st.just("single"), _which, _sums, st.booleans()),
+                  st.integers(min_value=1, max_value=2 ** NUM_INDEXES - 1)),
+        st.tuples(st.just("single"), _which, _sums),
     ),
     min_size=1,
     max_size=40,
@@ -247,28 +246,23 @@ def test_decision_pass_matches_frozen_per_index_path(
             frozen.invalidate_index(names[event[1]])
             assert _stats(model) == _stats(frozen)
         elif kind == "single":
-            _, which, sums, fade = event
+            _, which, sums = event
             index = catalog.index(names[which])
-            fade_quanta = 0.5 + which if fade else None
-            actual = model.evaluate_from_sums(index, sums[0], sums[1], which, fade_quanta)
-            expected = frozen.evaluate_from_sums(index, sums[0], sums[1], which, fade_quanta)
+            actual = model.evaluate_from_sums(index, sums[0], sums[1], which)
+            expected = frozen.evaluate_from_sums(index, sums[0], sums[1], which)
             assert actual == expected
             assert repr(actual) == repr(expected)
             assert _stats(model) == _stats(frozen)
         else:
-            _, sum_t, sum_m, mask, with_fades = event
+            _, sum_t, sum_m, mask = event
             picked = [k for k in range(NUM_INDEXES) if mask >> k & 1]
             indexes = [catalog.index(names[k]) for k in picked]
             counts = [k * 3 for k in picked]
-            fades = [0.25 * (k + 1) for k in picked] if with_fades else None
             actual = model.evaluate_many(
-                indexes, [sum_t[k] for k in picked], [sum_m[k] for k in picked], counts, fades
+                indexes, [sum_t[k] for k in picked], [sum_m[k] for k in picked], counts
             )
             expected = [
-                frozen.evaluate_from_sums(
-                    index, sum_t[k], sum_m[k], counts[j],
-                    None if fades is None else fades[j],
-                )
+                frozen.evaluate_from_sums(index, sum_t[k], sum_m[k], counts[j])
                 for j, (k, index) in enumerate(zip(picked, indexes))
             ]
             assert actual == expected

@@ -5,8 +5,8 @@ The incremental evaluator maintains the faded benefit inflows across
 decision points by decay-rescaling (``S(now+δ) = e^(-δ/D)·S(now) - …``),
 which is tolerance-equal — not bit-identical — to the oracle's direct
 per-sample summation. Hypothesis drives adversarial episodes (appends,
-running→finished flips, evictions, out-of-order history, fade changes,
-backwards time) and every checkpoint must agree with the oracle within
+running→finished flips, evictions, out-of-order history, backwards
+time) and every checkpoint must agree with the oracle within
 a relative 1e-7 — far tighter than any decision threshold in the model
 (delete threshold 0.05 quanta) and far looser than the proven drift
 bound (one rounding error per advance, exact refresh every 32).
@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import math
 
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from repro.cloud.pricing import PAPER_PRICING
 from repro.core.numeric import eq_tol
@@ -49,11 +49,10 @@ def _assert_sums_match(
     history: DataflowHistory,
     evaluator: IncrementalGainEvaluator,
     now: float,
-    fade: float | None,
 ) -> None:
     for name in (INDEX, OTHER):
-        naive_t, naive_m, naive_n = oracle_faded_sums(model, history, name, now, fade)
-        inc_t, inc_m, inc_n = evaluator.faded_sums(name, now, fade)
+        naive_t, naive_m, naive_n = oracle_faded_sums(model, history, name, now)
+        inc_t, inc_m, inc_n = evaluator.faded_sums(name, now)
         assert inc_n == naive_n, f"{name}: sample count {inc_n} != oracle {naive_n}"
         tol_t = 1e-7 * max(1.0, abs(naive_t))
         tol_m = 1e-7 * max(1.0, abs(naive_m))
@@ -85,20 +84,34 @@ _events = st.lists(
     events=_events,
     window_quanta=st.sampled_from([1.0, 5.0, 30.0, 90.0]),
     fade_quanta=st.sampled_from([0.5, 5.0, 50.0]),
-    fade_override=st.sampled_from([None, 0.25, 12.0]),
     max_records=st.sampled_from([None, 3, 8, 64]),
+)
+# A flip to finished at 1 s between two appends executed at 0 s: the
+# rebuild at 241 s keeps all three in position order, so at 301 s prefix
+# expiry stops at the in-window record at 1 s, ahead of an expired one.
+@example(
+    events=[
+        ("append", 1.0, 1.0, 0.0, False),
+        ("append_running", 1.0, 1.0),
+        ("finish", 1.0),
+        ("append", 1.0, 1.0, 0.0, False),
+        ("check", 541.0),
+        ("check", 360.0),
+    ],
+    window_quanta=5.0,
+    fade_quanta=0.5,
+    max_records=None,
 )
 @settings(max_examples=120, deadline=None, derandomize=True)
 def test_incremental_sums_match_oracle_on_random_episodes(
-    events, window_quanta, fade_quanta, fade_override, max_records
+    events, window_quanta, fade_quanta, max_records
 ):
     """Every checkpoint of a random episode agrees with the naive fold.
 
     Episodes interleave finished appends (occasionally with out-of-order
     ``executed_at``, which must force a rebuild rather than a wrong
     answer), running appends, running→finished flips (history mutation),
-    bounded-history eviction, fade-controller changes and non-monotone
-    "now" checkpoints.
+    bounded-history eviction and non-monotone "now" checkpoints.
     """
     model = _model(window_quanta, fade_quanta)
     history = DataflowHistory(PAPER_PRICING, max_records=max_records)
@@ -135,8 +148,8 @@ def test_incremental_sums_match_oracle_on_random_episodes(
         else:  # check
             _, jump_s = event
             now = max(0.0, now + jump_s - 300.0)  # jumps can go backwards
-            _assert_sums_match(model, history, evaluator, now, fade_override)
-    _assert_sums_match(model, history, evaluator, now + 60.0, fade_override)
+            _assert_sums_match(model, history, evaluator, now)
+    _assert_sums_match(model, history, evaluator, now + 60.0)
 
 
 def test_empty_history_is_zero():
@@ -205,7 +218,7 @@ def test_drift_stays_bounded_across_many_advances():
             )
         now += 37.0
         evaluator.faded_sums(INDEX, now)
-    _assert_sums_match(model, history, evaluator, now, None)
+    _assert_sums_match(model, history, evaluator, now)
     stats = evaluator.stats
     assert stats.hits > stats.misses + stats.invalidations, (
         "monotone episode should advance incrementally, not rebuild"
@@ -223,12 +236,10 @@ def test_cache_stats_classify_rebuild_causes():
     assert evaluator.stats.hits == 1  # monotone advance
     evaluator.faded_sums(INDEX, 60.0)  # time moved backwards
     assert evaluator.stats.invalidations == 1
-    evaluator.faded_sums(INDEX, 120.0, fade_quanta=2.0)  # controller changed D
-    assert evaluator.stats.invalidations == 2
     history.add(DataflowRecord("df1", 0.0, {INDEX: 1.0}, {INDEX: 1.0}, running=True))
     history.mark_finished("df1", 90.0)  # in-place mutation
-    evaluator.faded_sums(INDEX, 120.0, fade_quanta=2.0)
-    assert evaluator.stats.invalidations == 3
+    evaluator.faded_sums(INDEX, 120.0)
+    assert evaluator.stats.invalidations == 2
 
 
 #: Indexes of the batched episodes; records mention overlapping subsets.
@@ -241,21 +252,13 @@ _batched_events = st.lists(
         st.tuples(st.just("append"), _masks, _gain_floats, _gain_floats,
                   st.floats(min_value=-400.0, max_value=200.0), st.booleans()),
         st.tuples(st.just("finish"), st.floats(min_value=0.0, max_value=300.0)),
-        # (jump_s, mask, fade table): jumps below 300 s move "now"
-        # backwards; most decisions ask for every index.
+        # (jump_s, mask): jumps below 300 s move "now" backwards; most
+        # decisions ask for every index.
         st.tuples(st.just("decide"), st.floats(min_value=0.0, max_value=900.0),
-                  st.one_of(st.just(2 ** len(NAMES) - 1), _masks),
-                  st.sampled_from([None, 0, 1])),
+                  st.one_of(st.just(2 ** len(NAMES) - 1), _masks)),
     ),
     min_size=1,
     max_size=50,
-)
-#: Two per-index fade tables an episode's decisions pick from, so an
-#: index keeps its fade across decisions while others differ from it.
-_fade_tables = st.lists(
-    st.lists(st.sampled_from([0.25, 5.0, 12.0]), min_size=len(NAMES), max_size=len(NAMES)),
-    min_size=2,
-    max_size=2,
 )
 
 
@@ -266,14 +269,13 @@ def _stats(evaluator) -> tuple[int, int, int]:
 
 @given(
     events=_batched_events,
-    fade_tables=_fade_tables,
     window_quanta=st.sampled_from([1.0, 5.0, 30.0]),
     fade_quanta=st.sampled_from([0.5, 5.0, 50.0]),
     max_records=st.sampled_from([None, 3, 8]),
 )
 @settings(max_examples=150, deadline=None, derandomize=True)
 def test_batched_sums_are_bit_identical_to_per_index_advances(
-    events, fade_tables, window_quanta, fade_quanta, max_records
+    events, window_quanta, fade_quanta, max_records
 ):
     """At every decision, one ``faded_sums_many`` pass returns exactly
     the floats and counts of the frozen per-index loop, and moves the
@@ -281,8 +283,7 @@ def test_batched_sums_are_bit_identical_to_per_index_advances(
 
     Episodes mix overlapping index sets, bounded-history eviction,
     running-to-finished flips, future-dated and out-of-order appends,
-    "now" moving backwards, and per-index fades that change between
-    decisions.
+    and "now" moving backwards.
     """
     model = _model(window_quanta, fade_quanta)
     history = DataflowHistory(PAPER_PRICING, max_records=max_records)
@@ -311,17 +312,11 @@ def test_batched_sums_are_bit_identical_to_per_index_advances(
             if running:
                 history.mark_finished(running[-1].name, now + delay_s)
         else:
-            _, jump_s, mask, table = event
+            _, jump_s, mask = event
             now = max(0.0, now + jump_s - 300.0)
             names = [name for bit, name in enumerate(NAMES) if mask >> bit & 1]
-            picked = None
-            if table is not None:
-                picked = [fade_tables[table][NAMES.index(n)] for n in names]
-            expected = [
-                frozen.faded_sums(name, now, None if picked is None else picked[k])
-                for k, name in enumerate(names)
-            ]
-            actual = batched.faded_sums_many(names, now, picked)
+            expected = [frozen.faded_sums(name, now) for name in names]
+            actual = batched.faded_sums_many(names, now)
             assert actual == expected
             assert repr(actual) == repr(expected)  # signed zeros too
             assert _stats(batched) == _stats(frozen)

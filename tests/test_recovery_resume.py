@@ -34,7 +34,12 @@ from repro.recovery import (
 )
 from repro.recovery import manager as recovery_manager
 from repro.recovery.chaos import _metrics_fingerprint
-from repro.recovery.manager import SEGMENT_NAME, obs_lists, rebuild_obs_lists
+from repro.recovery.manager import (
+    SEGMENT_NAME,
+    SIDECAR_NAME,
+    obs_lists,
+    rebuild_obs_lists,
+)
 from repro.recovery.snapshot import (
     join_writer,
     list_snapshots,
@@ -549,6 +554,43 @@ def test_every_published_snapshot_is_the_synchronous_payload(tmp_path, monkeypat
     _hooked_run(tmp_path)
     assert boundaries == _boundaries(tmp_path, HOOKED_SNAPSHOT_EVERY)
     assert len(boundaries) > 3
+
+
+def test_the_sidecar_is_written_only_when_its_counters_move(tmp_path, monkeypatch):
+    """The sidecar's counters move only during a resume's replay and at
+    the run's end, so a fresh hooked run writes it at its base snapshot
+    and at its end, and no write repeats the one before it; after every
+    boundary, fresh or resumed, the file holds the manager's counters."""
+    writes = []
+    real_write = Path.write_text
+
+    def counted(self, data, *args, **kwargs):
+        if self.name == SIDECAR_NAME:
+            writes.append(json.loads(data))
+        return real_write(self, data, *args, **kwargs)
+
+    real_snapshot = RecoveryManager._snapshot
+
+    def checked(self, service, state, t):
+        real_snapshot(self, service, state, t)
+        sidecar = json.loads((self.directory / SIDECAR_NAME).read_text())
+        assert sidecar == self.stats.to_dict()
+
+    monkeypatch.setattr(Path, "write_text", counted)
+    monkeypatch.setattr(RecoveryManager, "_snapshot", checked)
+    _hooked_run(tmp_path / "fresh")
+    assert len(_boundaries(tmp_path / "fresh", HOOKED_SNAPSHOT_EVERY)) > 3
+    assert [write["finished"] for write in writes] == [False, True]
+
+    writes.clear()
+    install_crash_plan(CrashPlan(point="service.post_commit", hit=10, hard=False))
+    with pytest.raises(SimulatedCrash):
+        _hooked_run(tmp_path / "resumed")
+    install_crash_plan(None)
+    resumed = RecoveryManager.resume(tmp_path / "resumed")
+    _drive(resumed.service, resumed.state)
+    assert all(before != after for before, after in zip(writes, writes[1:]))
+    assert writes[-1]["finished"] and writes[-1]["records_verified"] > 0
 
 
 def test_a_failed_writer_raises_at_the_next_join(tmp_path, capfd):
