@@ -306,10 +306,13 @@ class ExperimentConfig:
 def default_config() -> ExperimentConfig:
     """The Table 3 configuration, scaled down unless REPRO_FULL=1.
 
-    The paper's full 720-quanta horizon takes tens of minutes per
-    strategy in this simulator; the default benchmark horizon is 1/6 of
-    it (120 quanta), which preserves every qualitative result. Set the
-    environment variable ``REPRO_FULL=1`` to run the paper-scale horizon.
+    The paper's full 720-quanta horizon takes under half a minute per
+    GAIN run in this simulator (seed 7 on a 2-core x86-64 VM, as host
+    load varied: 12-27 s with the LP interleaver, 7-18 s with the
+    online one); the default benchmark horizon is 1/6 of it (120
+    quanta, 1.5-6 s), which preserves every qualitative result. Set the
+    environment variable ``REPRO_FULL=1`` to run the paper-scale
+    horizon.
     """
     config = ExperimentConfig()
     if os.environ.get("REPRO_FULL") == "1":

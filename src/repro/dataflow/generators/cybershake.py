@@ -80,18 +80,17 @@ def build(
     flow = Dataflow(name=name, issued_at=issued_at)
     extracts = [
         flow.add_operator(
-            Operator(name=f"ExtractSGT_{i}", runtime=_runtime(rng, "ExtractSGT"),
-                     category="range_select")
+            Operator(name=f"ExtractSGT_{i}", runtime=_runtime(rng, "ExtractSGT"))
         )
         for i in range(_NUM_EXTRACT)
     ]
     attach_inputs(flow, extracts, spec, rng)
 
     zipseis = flow.add_operator(
-        Operator(name="ZipSeis", runtime=_runtime(rng, "ZipSeis"), category="grouping")
+        Operator(name="ZipSeis", runtime=_runtime(rng, "ZipSeis"))
     )
     zippsa = flow.add_operator(
-        Operator(name="ZipPSA", runtime=_runtime(rng, "ZipPSA"), category="grouping")
+        Operator(name="ZipPSA", runtime=_runtime(rng, "ZipPSA"))
     )
 
     for i in range(n_synth):
@@ -99,7 +98,6 @@ def build(
             Operator(
                 name=f"SeismogramSynthesis_{i:03d}",
                 runtime=_runtime(rng, "SeismogramSynthesis"),
-                category="lookup",
             )
         )
         parent = extracts[i % _NUM_EXTRACT]
@@ -108,7 +106,6 @@ def build(
             Operator(
                 name=f"PeakValCalc_{i:03d}",
                 runtime=_runtime(rng, "PeakValCalc"),
-                category="compute",
             )
         )
         flow.add_edge(synth.name, peak.name, data_mb=float(rng.uniform(0.1, 1.0)))

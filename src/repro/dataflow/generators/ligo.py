@@ -77,16 +77,14 @@ def build(
     for g in range(groups):
         banks = [
             flow.add_operator(
-                Operator(name=f"TmpltBank_{g}_{i}", runtime=_runtime(rng, "TmpltBank"),
-                         category="lookup")
+                Operator(name=f"TmpltBank_{g}_{i}", runtime=_runtime(rng, "TmpltBank"))
             )
             for i in range(_STAGE1_WIDTH)
         ]
         inspirals = []
         for i in range(_STAGE1_WIDTH):
             op = flow.add_operator(
-                Operator(name=f"Inspiral1_{g}_{i}", runtime=_runtime(rng, "Inspiral1"),
-                         category="range_select")
+                Operator(name=f"Inspiral1_{g}_{i}", runtime=_runtime(rng, "Inspiral1"))
             )
             flow.add_edge(banks[i].name, op.name, data_mb=float(rng.uniform(1.0, 5.0)))
             inspirals.append(op)
@@ -95,8 +93,7 @@ def build(
         # from indexes on those files.
         data_readers.extend(inspirals)
         thinca = flow.add_operator(
-            Operator(name=f"Thinca1_{g}", runtime=_runtime(rng, "Thinca"),
-                     category="grouping")
+            Operator(name=f"Thinca1_{g}", runtime=_runtime(rng, "Thinca"))
         )
         for op in inspirals:
             flow.add_edge(op.name, thinca.name, data_mb=float(rng.uniform(0.5, 2.0)))
@@ -104,22 +101,19 @@ def build(
         trigbanks = []
         for i in range(_STAGE2_WIDTH):
             op = flow.add_operator(
-                Operator(name=f"TrigBank_{g}_{i}", runtime=_runtime(rng, "TrigBank"),
-                         category="lookup")
+                Operator(name=f"TrigBank_{g}_{i}", runtime=_runtime(rng, "TrigBank"))
             )
             flow.add_edge(thinca.name, op.name, data_mb=float(rng.uniform(0.5, 2.0)))
             trigbanks.append(op)
         inspirals2 = []
         for i in range(_STAGE2_WIDTH):
             op = flow.add_operator(
-                Operator(name=f"Inspiral2_{g}_{i}", runtime=_runtime(rng, "Inspiral2"),
-                         category="range_select")
+                Operator(name=f"Inspiral2_{g}_{i}", runtime=_runtime(rng, "Inspiral2"))
             )
             flow.add_edge(trigbanks[i].name, op.name, data_mb=float(rng.uniform(1.0, 5.0)))
             inspirals2.append(op)
         thinca2 = flow.add_operator(
-            Operator(name=f"Thinca2_{g}", runtime=_runtime(rng, "Thinca"),
-                     category="grouping")
+            Operator(name=f"Thinca2_{g}", runtime=_runtime(rng, "Thinca"))
         )
         for op in inspirals2:
             flow.add_edge(op.name, thinca2.name, data_mb=float(rng.uniform(0.5, 2.0)))

@@ -77,8 +77,7 @@ def build(
     flow = Dataflow(name=name, issued_at=issued_at)
     projections = [
         flow.add_operator(
-            Operator(name=f"mProject_{i:03d}", runtime=_runtime(rng, "mProject"),
-                     category="range_select")
+            Operator(name=f"mProject_{i:03d}", runtime=_runtime(rng, "mProject"))
         )
         for i in range(n_proj)
     ]
@@ -87,8 +86,7 @@ def build(
     diffs = []
     for i in range(n_diff):
         op = flow.add_operator(
-            Operator(name=f"mDiffFit_{i:03d}", runtime=_runtime(rng, "mDiffFit"),
-                     category="join")
+            Operator(name=f"mDiffFit_{i:03d}", runtime=_runtime(rng, "mDiffFit"))
         )
         left = projections[i % n_proj]
         right = projections[(i + 1) % n_proj]
@@ -97,44 +95,43 @@ def build(
         diffs.append(op)
 
     concat = flow.add_operator(
-        Operator(name="mConcatFit", runtime=_runtime(rng, "mConcatFit"), category="grouping")
+        Operator(name="mConcatFit", runtime=_runtime(rng, "mConcatFit"))
     )
     for op in diffs:
         flow.add_edge(op.name, concat.name, data_mb=float(rng.uniform(0.1, 0.5)))
 
     bgmodel = flow.add_operator(
-        Operator(name="mBgModel", runtime=_runtime(rng, "mBgModel"), category="compute")
+        Operator(name="mBgModel", runtime=_runtime(rng, "mBgModel"))
     )
     flow.add_edge(concat.name, bgmodel.name, data_mb=float(rng.uniform(0.1, 0.5)))
 
     backgrounds = []
     for i in range(n_back):
         op = flow.add_operator(
-            Operator(name=f"mBackground_{i:03d}", runtime=_runtime(rng, "mBackground"),
-                     category="compute")
+            Operator(name=f"mBackground_{i:03d}", runtime=_runtime(rng, "mBackground"))
         )
         flow.add_edge(bgmodel.name, op.name, data_mb=float(rng.uniform(0.05, 0.2)))
         flow.add_edge(projections[i].name, op.name, data_mb=float(rng.uniform(1.0, 4.0)))
         backgrounds.append(op)
 
     imgtbl = flow.add_operator(
-        Operator(name="mImgTbl", runtime=_runtime(rng, "mImgTbl"), category="grouping")
+        Operator(name="mImgTbl", runtime=_runtime(rng, "mImgTbl"))
     )
     for op in backgrounds:
         flow.add_edge(op.name, imgtbl.name, data_mb=float(rng.uniform(1.0, 4.0)))
 
     madd = flow.add_operator(
-        Operator(name="mAdd", runtime=_runtime(rng, "mAdd"), category="sorting")
+        Operator(name="mAdd", runtime=_runtime(rng, "mAdd"))
     )
     flow.add_edge(imgtbl.name, madd.name, data_mb=float(rng.uniform(20.0, 60.0)))
 
     shrink = flow.add_operator(
-        Operator(name="mShrink", runtime=_runtime(rng, "mShrink"), category="compute")
+        Operator(name="mShrink", runtime=_runtime(rng, "mShrink"))
     )
     flow.add_edge(madd.name, shrink.name, data_mb=float(rng.uniform(5.0, 15.0)))
 
     jpeg = flow.add_operator(
-        Operator(name="mJPEG", runtime=_runtime(rng, "mJPEG"), category="compute")
+        Operator(name="mJPEG", runtime=_runtime(rng, "mJPEG"))
     )
     flow.add_edge(shrink.name, jpeg.name, data_mb=float(rng.uniform(1.0, 3.0)))
 

@@ -45,8 +45,6 @@ class Operator:
         priority: 1 for dataflow operators, -1 for index builds.
         optional: True for operators the scheduler may drop (index builds
             in the online interleaving algorithm).
-        category: Operator category label (e.g. "lookup", "join"); used to
-            tie operators to the index categories of Section 1.
         reads_table: Name of the catalog table this operator scans, if
             any — the hook through which indexes accelerate it.
         index_speedup: Map of index name -> speedup factor this operator
@@ -62,7 +60,6 @@ class Operator:
     outputs: tuple[DataFile, ...] = ()
     priority: int = DATAFLOW_PRIORITY
     optional: bool = False
-    category: str = "compute"
     reads_table: str | None = None
     index_speedup: dict[str, float] = field(default_factory=dict)
 

@@ -50,7 +50,6 @@ class BuildCandidate:
             runtime=self.duration_s,
             priority=BUILD_INDEX_PRIORITY,
             optional=True,
-            category="build_index",
         )
 
 

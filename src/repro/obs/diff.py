@@ -58,16 +58,18 @@ def diff_journals(a_text: str, b_text: str) -> Divergence | None:
             return Divergence(
                 "journal", f"event {i}", _event_label(ra), _event_label(rb)
             )
-        # Same event type and time: name the first differing payload key.
+        # Same event type and time: name the first differing payload key,
+        # and the first differing leaf inside it when it holds a container.
         keys = sorted(set(ra) | set(rb))
         for key in keys:
-            if ra.get(key) != rb.get(key):
-                return Divergence(
-                    "journal",
-                    f"event {i} ({_event_label(ra)}) key {key!r}",
-                    _summ(ra.get(key)),
-                    _summ(rb.get(key)),
-                )
+            va, vb = ra.get(key), rb.get(key)
+            if va != vb:
+                location = f"event {i} ({_event_label(ra)}) key {key!r}"
+                found = _walk_first_diff(va, vb, key)
+                if found is not None and found[0] != key:
+                    location += f" at {found[0]}"
+                    va, vb = found[1], found[2]
+                return Divergence("journal", location, _summ(va), _summ(vb))
         return Divergence("journal", f"event {i}", _summ(la), _summ(lb))
     if len(a_lines) != len(b_lines):
         i = min(len(a_lines), len(b_lines))
@@ -86,22 +88,36 @@ def diff_journals(a_text: str, b_text: str) -> Divergence | None:
     return None
 
 
-def _walk_first_diff(a: object, b: object, path: str) -> tuple[str, object, object] | None:
-    """Depth-first search for the first differing leaf, keys sorted."""
+def _walk_first_diff(
+    a: object, b: object, path: str, rows: list[object] | None = None
+) -> tuple[str, object, object] | None:
+    """Depth-first search for the first differing leaf, keys sorted.
+
+    A dict whose ``index`` entry is a list is read as a table, one row
+    per entry of ``index`` (the journal's gain tables): a difference
+    found in one of its list columns also names the row's index, from
+    side ``a``, as ``path[k] (index 'name')``. ``rows`` carries that
+    ``index`` list into the column being walked.
+    """
     if isinstance(a, dict) and isinstance(b, dict):
+        index = a.get("index")
+        table = index if isinstance(index, list) else None
         for key in sorted(set(a) | set(b)):
             here = f"{path}.{key}" if path else str(key)
             if key not in a:
                 return here, "<absent>", b[key]
             if key not in b:
                 return here, a[key], "<absent>"
-            found = _walk_first_diff(a[key], b[key], here)
+            found = _walk_first_diff(a[key], b[key], here, table)
             if found is not None:
                 return found
         return None
     if isinstance(a, list) and isinstance(b, list):
         for i, (va, vb) in enumerate(zip(a, b)):
-            found = _walk_first_diff(va, vb, f"{path}[{i}]")
+            here = f"{path}[{i}]"
+            if rows is not None and i < len(rows):
+                here += f" (index {rows[i]!r})"
+            found = _walk_first_diff(va, vb, here)
             if found is not None:
                 return found
         if len(a) != len(b):

@@ -1,8 +1,12 @@
 """Structured decision journal (JSONL).
 
-Every tuner decision, gain evaluation, index build/delete, interleave
-slot fill and build kill is recorded as one flat JSON object with an
-``event`` type and a simulated timestamp ``t`` (absolute seconds).
+Every tuner decision, index build/delete, interleave slot fill and
+build kill is recorded as one JSON object with an ``event`` type and a
+simulated timestamp ``t`` (absolute seconds). Payload values may nest:
+a build or delete carries its index's gain breakdown as a dict, and a
+tuner decision carries the gains of every index it scored as one
+table, a dict of equal-length columns (see
+:func:`repro.tuning.gain.gain_table`).
 Events are kept in memory in emission order — which is itself
 deterministic under a fixed seed — and serialised with sorted keys and
 fixed separators, so two same-seed runs produce byte-identical files.

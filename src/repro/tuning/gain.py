@@ -18,7 +18,7 @@ and deleted as soon as they stop being beneficial.
 from __future__ import annotations
 
 import math
-from collections.abc import Sequence
+from collections.abc import Iterable, Mapping, Sequence
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, NamedTuple
 
@@ -173,11 +173,13 @@ class IndexGain(NamedTuple):
         return self.flags()[1]
 
     def breakdown(self, flags: tuple[bool, bool] | None = None) -> dict[str, object]:
-        """The full Eq. 3-5 term breakdown as a JSON-ready dict.
+        """The full Eq. 3-5 term breakdown of this one index as a
+        JSON-ready dict.
 
-        This is the payload the decision journal attaches to every
-        gain evaluation, index build and index delete event. ``flags``
-        are this gain's :meth:`flags`, for a caller that has them.
+        This is the payload the decision journal attaches to each index
+        build and index delete event; a decision's gains are journalled
+        as one :func:`gain_table` with the same keys. ``flags`` are this
+        gain's :meth:`flags`, for a caller that has them.
         """
         beneficial, deletable = self.flags() if flags is None else flags
         return {
@@ -195,6 +197,31 @@ class IndexGain(NamedTuple):
             "beneficial": beneficial,
             "deletable": deletable,
         }
+
+
+def gain_table(
+    gains: Iterable[IndexGain], flags: Mapping[str, tuple[bool, bool]]
+) -> dict[str, list[object]]:
+    """Many gains as one JSON-ready table: each :meth:`IndexGain.breakdown`
+    key maps to one list, with one row per gain in the order given.
+
+    Column ``f`` at row ``k`` is ``breakdown(flags[name])[f]`` of the
+    ``k``-th gain, whose index is ``table["index"][k]``. The table is the
+    gains' fields transposed, so each key is written once per decision
+    instead of once per index. ``flags`` maps each gain's index name to
+    its :meth:`IndexGain.flags`, as :func:`repro.tuning.ranking.classify`
+    returns them.
+    """
+    rows = list(gains)
+    columns = zip(*rows) if rows else [()] * len(IndexGain._fields)
+    table: dict[str, list[object]] = {
+        field: list(column) for field, column in zip(IndexGain._fields, columns)
+    }
+    del table["delete_threshold_quanta"]
+    names = table["index"] = table.pop("index_name")
+    table["beneficial"] = [flags[name][0] for name in names]
+    table["deletable"] = [flags[name][1] for name in names]
+    return table
 
 
 class GainModel:

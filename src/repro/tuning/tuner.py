@@ -24,7 +24,7 @@ from repro.explore.hooks import note
 from repro.obs import NOOP_OBS, Observation
 from repro.recovery.hooks import crash_point
 from repro.scheduling.skyline import SkylineScheduler
-from repro.tuning.gain import GainModel, IndexGain, dataflow_index_gains
+from repro.tuning.gain import GainModel, IndexGain, dataflow_index_gains, gain_table
 from repro.tuning.history import DataflowHistory, DataflowRecord
 from repro.tuning.incremental import IncrementalGainEvaluator
 from repro.tuning.ranking import classify
@@ -194,7 +194,8 @@ class OnlineIndexTuner:
         current_gains: tuple[dict[str, float], dict[str, float]] | None = None,
         queued: list[Dataflow] | None = None,
     ) -> dict[str, IndexGain]:
-        """Gains of all potential indexes over Hd ∪ {current ∪ queued}.
+        """Gains of all potential indexes over Hd ∪ {current ∪ queued}, in
+        index-name order.
 
         Per Section 4, the sum in Equations 4/5 covers the historical
         dataflows in the window *and* the currently running or queued
@@ -347,10 +348,7 @@ class OnlineIndexTuner:
                 skyline_points=len(skyline),
                 ranked=[g.index_name for g in ranked],
                 to_delete=list(to_delete),
-                gains={
-                    name: g.breakdown(classified.flags[name])
-                    for name, g in sorted(gains.items())
-                },
+                gains=gain_table(gains.values(), classified.flags),
             )
             for payload in slot_fill_payloads(chosen.build_assignments):
                 obs.journal.emit(
@@ -387,11 +385,9 @@ class OnlineIndexTuner:
                 "periodic_cleanup",
                 t=now,
                 to_delete=list(to_delete),
-                gains={
-                    name: g.breakdown(classified.flags[name])
-                    for name, g in sorted(gains.items())
-                    if name in set(to_delete)
-                },
+                gains=gain_table(
+                    [gains[name] for name in sorted(to_delete)], classified.flags
+                ),
             )
             self.obs.metrics.counter("tuner/cleanups").inc()
             self.obs.metrics.counter("tuner/deletions_flagged").inc(len(to_delete))

@@ -45,6 +45,30 @@ def test_journal_payload_divergence_names_first_differing_key() -> None:
     assert (d.a, d.b) == ("10", "20")
 
 
+def test_journal_table_divergence_names_the_cell_and_its_index() -> None:
+    table = {
+        "index": ["t0__a", "t0__b", "t1__c"],
+        "samples": [1, 2, 3],
+        "time_gain_quanta": [0.5, -1.0, 2.0],
+    }
+    changed = dict(table, time_gain_quanta=[0.5, -1.0, 2.25])
+    a = jl({"event": "tuner_decision", "t": 60.0, "gains": table, "ranked": ["t1__c"]})
+    b = jl({"event": "tuner_decision", "t": 60.0, "gains": changed, "ranked": ["t1__c"]})
+    d = diff_journals(a, b)
+    assert d is not None
+    assert d.location == (
+        "event 0 (tuner_decision@t=60.0) key 'gains' "
+        "at gains.time_gain_quanta[2] (index 't1__c')"
+    )
+    assert (d.a, d.b) == ("2.0", "2.25")
+    # A list that is no table column names the position only.
+    c = jl({"event": "tuner_decision", "t": 60.0, "gains": table, "ranked": ["t0__a"]})
+    d = diff_journals(a, c)
+    assert d is not None
+    assert d.location.endswith("key 'ranked' at ranked[0]")
+    assert (d.a, d.b) == ("t1__c", "t0__a")
+
+
 def test_journal_length_divergence_reports_counts_and_extra_event() -> None:
     a = jl({"event": "x", "t": 1.0}, {"event": "y", "t": 2.0})
     b = jl({"event": "x", "t": 1.0})

@@ -192,6 +192,21 @@ def test_resume_refuses_finished_run(tmp_path):
         resume_run(str(tmp_path))
 
 
+def test_resume_refuses_a_format_7_directory(tmp_path):
+    """A format-7 segment holds per-index gain dicts where format 8
+    journals one table per decision, so resuming would mix the two."""
+    install_crash_plan(CrashPlan(point="service.step", hit=3, hard=False))
+    with pytest.raises(SimulatedCrash):
+        run_with_recovery(tmp_path, small_config())
+    install_crash_plan(None)
+    manifest_path = tmp_path / "manifest.json"
+    manifest = json.loads(manifest_path.read_text())
+    assert manifest["format"] == 8
+    manifest_path.write_text(json.dumps(dict(manifest, format=7)))
+    with pytest.raises(RecoveryError, match="unsupported recovery format 7"):
+        resume_run(str(tmp_path))
+
+
 def test_replay_divergence_raises_recovery_error(tmp_path):
     # Only the base snapshot exists (huge snapshot_every), so the whole
     # log is replayed — any tampered record must be caught.

@@ -14,10 +14,13 @@ from repro.data.table import (
 )
 from repro.dataflow.graph import Dataflow
 from repro.dataflow.operator import DataFile, Operator
+from repro.obs import Observation
 from repro.scheduling.skyline import SkylineScheduler
 from repro.tuning.gain import GainModel, GainParameters
 from repro.tuning.history import DataflowHistory
 from repro.tuning.tuner import OnlineIndexTuner
+
+from tests.differential.test_gain_table_oracle import assert_table_matches_breakdowns
 
 
 def make_catalog(num_tables=2, size_mb=50.0):
@@ -131,8 +134,15 @@ class TestDecisions:
         for p in index.table.partitions:
             index.mark_built(p.partition_id, time=0.0)
         tuner.record_execution("old", 0.0, {"t0__k": 5.0}, {"t0__k": 5.0})
+        tuner.obs = obs = Observation.recording()
+        gains = tuner.evaluate_gains(6000.0)
         assert tuner.periodic_cleanup(now=6000.0) == ["t0__k"]
         assert tuner.periodic_cleanup(now=0.0) == []
+        # Each cleanup journals the breakdowns of the indexes it flags.
+        flagged, kept = obs.journal.events
+        assert flagged["to_delete"] == ["t0__k"]
+        assert_table_matches_breakdowns(flagged["gains"], {"t0__k": gains["t0__k"]})
+        assert kept["gains"] == {field: [] for field in flagged["gains"]}
 
     def test_decision_carries_original_gains(self):
         catalog = make_catalog()
