@@ -1,6 +1,6 @@
 """Hot-path performance benchmark: before/after the optimisation layer.
 
-Nine measurements, each against the frozen naive oracles of
+Ten measurements, each against the frozen naive oracles of
 ``tests/differential/`` (the pre-optimisation implementations), so
 "before" numbers are produced by the code that actually shipped before,
 in the same process, on the same inputs:
@@ -50,7 +50,15 @@ in the same process, on the same inputs:
   as the service process sees it: the frozen synchronous writer (chunk,
   pickle, write, fsync, rename and prune) vs the boundary that hands
   the pickling and the write to a forked writer, with byte-identical
-  published files asserted (required: >= 4x).
+  published files asserted (required: >= 4x);
+* **dataflow generation** — 300 dataflows of 100 operators, 100 per
+  app, each side from a fresh ``build_workload(seed=7)``: the per-call
+  draws (one ``choice`` per table, one ``integers`` per speedup, one
+  ``uniform`` per edge) patched back into the generators vs one batched
+  ``integers`` call per dataflow and the ``uniform`` helper, with
+  identical dataflows and final RNG state asserted; the median of seven
+  pairs that alternate which side runs first, reported with its
+  quartiles (required: >= 1.3x).
 
 Headline numbers land in ``BENCH_hotpath.json`` via the
 ``figure_metrics`` fixture when ``REPRO_BENCH_METRICS_DIR`` is set.
@@ -108,6 +116,7 @@ from tests.differential.test_decision_oracle import (
     scanned_any_built,
     scanned_built_fraction,
 )
+from tests.differential.test_generator_oracle import fingerprint, patch_oracle_draws
 from tests.differential.test_skyline_oracle import (
     APPS,
     SERVICE_CASE,
@@ -644,6 +653,53 @@ def _bench_recovery_snapshot_handoff(rounds: int = 7):
     }
 
 
+# ----------------------------------------------------------------------
+# Part 7: dataflow generation (>= 1.3x required)
+# ----------------------------------------------------------------------
+def _generate_dataflows(count: int) -> tuple[float, list, dict]:
+    workload = build_workload(PAPER_PRICING, seed=7)
+    apps = app_names()
+    t0 = time.perf_counter()
+    flows = [workload.next_dataflow(apps[i % len(apps)], 60.0 * i) for i in range(count)]
+    elapsed = time.perf_counter() - t0
+    return elapsed, flows, workload.rng.bit_generator.state
+
+
+def _bench_dataflow_generation(monkeypatch, count: int = 300, pairs: int = 7):
+    def batched():
+        return _generate_dataflows(count)
+
+    def naive():
+        with monkeypatch.context() as patch:
+            patch_oracle_draws(patch)
+            return _generate_dataflows(count)
+
+    naive_s, batched_s, speedups = [], [], []
+    for pair in range(pairs):
+        order = (batched, naive) if pair % 2 == 0 else (naive, batched)
+        timed = {side: side() for side in order}
+        (fast_s, fast_flows, fast_state), (slow_s, slow_flows, slow_state) = (
+            timed[batched], timed[naive]
+        )
+        assert [fingerprint(f) for f in fast_flows] == [fingerprint(f) for f in slow_flows]
+        assert fast_state == slow_state
+        naive_s.append(slow_s)
+        batched_s.append(fast_s)
+        speedups.append(slow_s / fast_s)
+    q1, median, q3 = (float(q) for q in np.percentile(speedups, [25, 50, 75]))
+    return {
+        "dataflows": count,
+        "pairs": pairs,
+        "naive_ms_per_dataflow": 1e3 * float(np.median(naive_s)) / count,
+        "batched_ms_per_dataflow": 1e3 * float(np.median(batched_s)) / count,
+        "naive_ops_per_s": count / float(np.median(naive_s)),
+        "batched_ops_per_s": count / float(np.median(batched_s)),
+        "speedup": median,
+        "speedup_q1": q1,
+        "speedup_q3": q3,
+    }
+
+
 def test_hotpath(benchmark, figure_metrics, monkeypatch):
     gain = _bench_gain_update()
     decision = _bench_gain_decision()
@@ -653,6 +709,7 @@ def test_hotpath(benchmark, figure_metrics, monkeypatch):
     commit = _bench_recovery_commit()
     snapshot = _bench_recovery_snapshot()
     handoff = _bench_recovery_snapshot_handoff()
+    generation = _bench_dataflow_generation(monkeypatch)
     e2e = benchmark.pedantic(lambda: _bench_e2e(monkeypatch), rounds=1, iterations=1)
 
     print_header("Hot-path performance: naive oracle vs optimised layer")
@@ -676,6 +733,10 @@ def test_hotpath(benchmark, figure_metrics, monkeypatch):
              f"{snapshot['incremental_ops_per_s']:.1f}", f"{snapshot['speedup']:.1f}x"],
             ["snapshot handoff", f"{handoff['naive_ops_per_s']:.1f}",
              f"{handoff['handoff_ops_per_s']:.1f}", f"{handoff['speedup']:.1f}x"],
+            ["dataflow generation", f"{generation['naive_ops_per_s']:.1f}",
+             f"{generation['batched_ops_per_s']:.1f}",
+             f"{generation['speedup']:.1f}x ({generation['speedup_q1']:.1f}-"
+             f"{generation['speedup_q3']:.1f})"],
             ["full sim day (30 q)", f"{e2e['naive_days_per_hour']:.1f}/h",
              f"{e2e['optimised_days_per_hour']:.1f}/h",
              f"{e2e['speedup']:.1f}x ({e2e['speedup_q1']:.1f}-{e2e['speedup_q3']:.1f})"],
@@ -692,6 +753,7 @@ def test_hotpath(benchmark, figure_metrics, monkeypatch):
     figure_metrics["recovery_commit"] = commit
     figure_metrics["recovery_snapshot"] = snapshot
     figure_metrics["recovery_snapshot_handoff"] = handoff
+    figure_metrics["dataflow_generation"] = generation
     figure_metrics["full_sim_day"] = e2e
     benchmark.extra_info.update(
         gain_speedup=gain["speedup"],
@@ -702,6 +764,7 @@ def test_hotpath(benchmark, figure_metrics, monkeypatch):
         recovery_commit_speedup=commit["speedup"],
         recovery_snapshot_speedup=snapshot["speedup"],
         recovery_snapshot_handoff_speedup=handoff["speedup"],
+        dataflow_generation_speedup=generation["speedup"],
         e2e_speedup=e2e["speedup"],
     )
 
@@ -715,4 +778,5 @@ def test_hotpath(benchmark, figure_metrics, monkeypatch):
     assert commit["speedup"] >= 5.0
     assert snapshot["speedup"] >= 1.5
     assert handoff["speedup"] >= 4.0
+    assert generation["speedup"] >= 1.3
     assert e2e["speedup"] >= 1.5

@@ -406,13 +406,14 @@ class ExecutionSimulator:
         """
         obs = self.obs
         net_bw = self.container.net_bw_mb_s
+        in_edges = dataflow.in_edges_map()
         avail: dict[int, float] = {}
         op_end: dict[str, float] = {}
         op_container: dict[str, int] = {}
         busy: dict[int, list[_Interval]] = {}
         for a in df_assignments:
             ready = origin
-            for edge in dataflow.in_edges(a.op_name):
+            for edge in in_edges.get(a.op_name, ()):
                 src_end = op_end.get(edge.src)
                 if src_end is None:
                     continue

@@ -88,7 +88,12 @@ def build_workload(
 
     Every app's input files become catalog tables with four potential
     indexes each (the Table 5 columns). Deterministic given ``seed``.
+    Any app may arrive, so ``num_ops`` must suit all three generators
+    (a positive multiple of 20); it is rejected here, not at the first
+    arrival it cannot build.
     """
+    for module in _APP_MODULES.values():
+        module.check_num_ops(num_ops)
     rng = np.random.default_rng(seed)
     catalog = Catalog(pricing=pricing)
     specs: dict[str, WorkflowSpec] = {}

@@ -1,8 +1,8 @@
 """Scientific workflow generators: Montage, LIGO, CyberShake (Fig. 5).
 
 Each module exposes ``APP_NAME``, ``INPUT_FILES`` (the Table 4 input-file
-statistics), ``generate_input_sizes(rng)``, and ``build(spec, rng, name,
-num_ops, issued_at)``.
+statistics), ``generate_input_sizes(rng)``, ``check_num_ops(num_ops)``
+and ``build(spec, rng, name, num_ops, issued_at)``.
 """
 
 from repro.dataflow.generators import cybershake, ligo, montage
@@ -10,8 +10,8 @@ from repro.dataflow.generators.base import (
     InputFileModel,
     WorkflowSpec,
     attach_inputs,
-    sample_speedup,
     truncated_normal,
+    uniform,
 )
 
 __all__ = [
@@ -21,6 +21,6 @@ __all__ = [
     "InputFileModel",
     "WorkflowSpec",
     "attach_inputs",
-    "sample_speedup",
     "truncated_normal",
+    "uniform",
 ]

@@ -5,6 +5,18 @@ generator of Bharathi et al. [8], which fixes the DAG shape per
 application and draws operator runtimes and file sizes from per-task-type
 distributions. We re-implement that idea from scratch, calibrating the
 distributions against the published aggregate statistics (Table 4).
+
+Each dataflow's index picks and speedups come from one
+``rng.integers(0, bounds)`` call, and each edge size from one
+:func:`uniform` draw. numpy makes every bounded integer draw, in
+``integers`` and in ``choice`` alike, from one ``next_uint32`` by
+Lemire's method, and a bound of 1 draws nothing. So the batch consumes
+the stream exactly as the per-call ``choice`` and ``integers`` calls
+did, and :func:`attach_inputs` replays ``choice``'s Floyd sample and
+shuffle from it. The truncated normals stay one call each: they
+interleave with the edge draws, so batching them would reorder the
+stream. ``tests/differential/test_generator_oracle.py`` pins both
+against the per-call draws.
 """
 
 from __future__ import annotations
@@ -31,14 +43,22 @@ def truncated_normal(
     return float(min(max(rng.normal(mean, std), low), high))
 
 
-def sample_speedup(rng: np.random.Generator) -> float:
-    """Pick one of the measured Table 6 speedups, uniformly.
+#: Table 6's measured speedups in catalog order. "its speed-up is randomly
+#: chosen from the values of Table 6" (Section 6.1): a uniform draw in
+#: ``[0, len(SPEEDUPS))`` picks one.
+SPEEDUPS: tuple[float, ...] = tuple(float(v) for v in TABLE6_SPEEDUPS.values())
 
-    "its speed-up is randomly chosen from the values of Table 6"
-    (Section 6.1).
+
+def uniform(rng: np.random.Generator, low: float, high: float) -> float:
+    """``float(rng.uniform(low, high))`` without numpy's per-call set-up.
+
+    numpy computes ``low + (high - low) * next_double``; ``rng.random()``
+    is that ``next_double``, so both give the same float and consume the
+    same stream.
     """
-    values = list(TABLE6_SPEEDUPS.values())
-    return float(values[rng.integers(0, len(values))])
+    if high < low:
+        raise ValueError("high - low < 0")
+    return low + (high - low) * rng.random()
 
 
 @dataclass(frozen=True)
@@ -78,6 +98,8 @@ class WorkflowSpec:
     def __post_init__(self) -> None:
         if len(self.tables) != len(self.table_sizes_mb):
             raise ValueError("tables and table_sizes_mb must align")
+        if self.indexes_per_dataflow < 0:
+            raise ValueError("indexes_per_dataflow must be non-negative")
 
 
 def attach_inputs(
@@ -92,9 +114,20 @@ def attach_inputs(
     each dataflow touches the whole app file pool, as in Table 4 where
     the file count is per dataflow. For each table, the dataflow
     nominates candidate indexes with per-dataflow random speedups.
+
+    Per table of n index names, with k = min(indexes_per_dataflow, n),
+    ``rng.choice(n, k, replace=False)`` draws Floyd's bounds j + 1 for
+    j = n - k .. n - 1 and then shuffles with bounds i + 1 for
+    i = k - 1 .. 1; the k speedup draws follow. One ``integers`` call
+    makes all of them in that order, and the loop below replays
+    ``choice`` from them. (numpy switches to a tail shuffle when
+    n > 10,000 and k > n // 50; there the replay is still a uniform
+    sample, but not numpy's.)
     """
     if not entry_ops:
         raise ValueError("a dataflow needs at least one entry operator")
+    picks: list[tuple[Operator, list[str], int]] = []
+    bounds: list[int] = []
     for i, (table, size_mb) in enumerate(zip(spec.tables, spec.table_sizes_mb)):
         op = entry_ops[i % len(entry_ops)]
         op.inputs = (*op.inputs, DataFile(name=table, size_mb=size_mb))
@@ -102,13 +135,29 @@ def attach_inputs(
             op.reads_table = table
         dataflow.input_tables.add(table)
         index_names = spec.indexes_per_table.get(table, [])
-        if not index_names:
+        n = len(index_names)
+        k = min(spec.indexes_per_dataflow, n)
+        if k == 0:
             continue
-        count = min(spec.indexes_per_dataflow, len(index_names))
-        chosen = rng.choice(len(index_names), size=count, replace=False)
+        picks.append((op, index_names, k))
+        bounds.extend(range(n - k + 1, n + 1))
+        bounds.extend(range(k, 1, -1))
+        bounds.extend([len(SPEEDUPS)] * k)
+    if not picks:
+        return
+    draws = iter(rng.integers(0, bounds).tolist())
+    for op, index_names, k in picks:
+        n = len(index_names)
+        chosen: list[int] = []
+        for j in range(n - k, n):
+            drawn = next(draws)
+            chosen.append(j if drawn in chosen else drawn)
+        for i in range(k - 1, 0, -1):
+            swap = next(draws)
+            chosen[i], chosen[swap] = chosen[swap], chosen[i]
         for j in chosen:
-            name = index_names[int(j)]
-            op.index_speedup[name] = sample_speedup(rng)
+            name = index_names[j]
+            op.index_speedup[name] = SPEEDUPS[next(draws)]
             dataflow.candidate_indexes.add(name)
 
 

@@ -18,6 +18,7 @@ from repro.dataflow.generators.base import (
     attach_inputs,
     finish,
     truncated_normal,
+    uniform,
 )
 from repro.dataflow.graph import Dataflow
 from repro.dataflow.operator import Operator
@@ -38,6 +39,8 @@ _RUNTIMES = {
 
 #: Number of ExtractSGT roots; the synthesis/peak width fills num_ops.
 _NUM_EXTRACT = 4
+#: Operators outside the fan-out: the extract roots and the two zips.
+_FIXED = _NUM_EXTRACT + 2
 
 
 def generate_input_sizes(rng: np.random.Generator) -> list[float]:
@@ -63,6 +66,13 @@ def _runtime(rng: np.random.Generator, task: str) -> float:
     return truncated_normal(rng, mean, std, low, high)
 
 
+def check_num_ops(num_ops: int) -> None:
+    """Reject an operator count that leaves no even fan-out width."""
+    wide = num_ops - _FIXED
+    if wide < 2 or wide % 2 != 0:
+        raise ValueError("cybershake num_ops must leave an even fan-out width")
+
+
 def build(
     spec: WorkflowSpec,
     rng: np.random.Generator,
@@ -71,11 +81,8 @@ def build(
     issued_at: float = 0.0,
 ) -> Dataflow:
     """Generate one CyberShake dataflow with ``num_ops`` operators."""
-    fixed = _NUM_EXTRACT + 2  # extract roots + the two zip aggregators
-    wide = num_ops - fixed
-    if wide < 2 or wide % 2 != 0:
-        raise ValueError("cybershake num_ops must leave an even fan-out width")
-    n_synth = wide // 2
+    check_num_ops(num_ops)
+    n_synth = (num_ops - _FIXED) // 2
 
     flow = Dataflow(name=name, issued_at=issued_at)
     extracts = [
@@ -101,15 +108,15 @@ def build(
             )
         )
         parent = extracts[i % _NUM_EXTRACT]
-        flow.add_edge(parent.name, synth.name, data_mb=float(rng.uniform(100.0, 500.0)))
+        flow.add_edge(parent.name, synth.name, data_mb=uniform(rng, 100.0, 500.0))
         peak = flow.add_operator(
             Operator(
                 name=f"PeakValCalc_{i:03d}",
                 runtime=_runtime(rng, "PeakValCalc"),
             )
         )
-        flow.add_edge(synth.name, peak.name, data_mb=float(rng.uniform(0.1, 1.0)))
-        flow.add_edge(synth.name, zipseis.name, data_mb=float(rng.uniform(1.0, 10.0)))
-        flow.add_edge(peak.name, zippsa.name, data_mb=float(rng.uniform(0.05, 0.5)))
+        flow.add_edge(synth.name, peak.name, data_mb=uniform(rng, 0.1, 1.0))
+        flow.add_edge(synth.name, zipseis.name, data_mb=uniform(rng, 1.0, 10.0))
+        flow.add_edge(peak.name, zippsa.name, data_mb=uniform(rng, 0.05, 0.5))
 
     return finish(flow, num_ops)

@@ -19,6 +19,7 @@ from repro.dataflow.generators.base import (
     attach_inputs,
     finish,
     truncated_normal,
+    uniform,
 )
 from repro.dataflow.graph import Dataflow
 from repro.dataflow.operator import Operator
@@ -41,6 +42,8 @@ _RUNTIMES = {
 _GROUPS = 5
 _STAGE1_WIDTH = 5
 _STAGE2_WIDTH = 4
+#: Operators per group: two pipeline stages plus their two Thincas.
+_PER_GROUP = 2 * _STAGE1_WIDTH + 2 * _STAGE2_WIDTH + 2
 
 
 def generate_input_sizes(rng: np.random.Generator) -> list[float]:
@@ -59,6 +62,12 @@ def _runtime(rng: np.random.Generator, task: str) -> float:
     return truncated_normal(rng, mean, std, low, high)
 
 
+def check_num_ops(num_ops: int) -> None:
+    """Reject an operator count that is not a whole number of groups."""
+    if num_ops < _PER_GROUP or num_ops % _PER_GROUP != 0:
+        raise ValueError(f"ligo num_ops must be a positive multiple of {_PER_GROUP}")
+
+
 def build(
     spec: WorkflowSpec,
     rng: np.random.Generator,
@@ -67,10 +76,8 @@ def build(
     issued_at: float = 0.0,
 ) -> Dataflow:
     """Generate one LIGO dataflow with ``num_ops`` operators."""
-    per_group = 2 * _STAGE1_WIDTH + 2 * _STAGE2_WIDTH + 2
-    if num_ops % per_group != 0:
-        raise ValueError(f"ligo num_ops must be a multiple of {per_group}")
-    groups = num_ops // per_group
+    check_num_ops(num_ops)
+    groups = num_ops // _PER_GROUP
 
     flow = Dataflow(name=name, issued_at=issued_at)
     data_readers: list[Operator] = []
@@ -86,7 +93,7 @@ def build(
             op = flow.add_operator(
                 Operator(name=f"Inspiral1_{g}_{i}", runtime=_runtime(rng, "Inspiral1"))
             )
-            flow.add_edge(banks[i].name, op.name, data_mb=float(rng.uniform(1.0, 5.0)))
+            flow.add_edge(banks[i].name, op.name, data_mb=uniform(rng, 1.0, 5.0))
             inspirals.append(op)
         # The Inspiral matched filters are the operators that scan the
         # detector frame files — they, not the template banks, benefit
@@ -96,27 +103,27 @@ def build(
             Operator(name=f"Thinca1_{g}", runtime=_runtime(rng, "Thinca"))
         )
         for op in inspirals:
-            flow.add_edge(op.name, thinca.name, data_mb=float(rng.uniform(0.5, 2.0)))
+            flow.add_edge(op.name, thinca.name, data_mb=uniform(rng, 0.5, 2.0))
 
         trigbanks = []
         for i in range(_STAGE2_WIDTH):
             op = flow.add_operator(
                 Operator(name=f"TrigBank_{g}_{i}", runtime=_runtime(rng, "TrigBank"))
             )
-            flow.add_edge(thinca.name, op.name, data_mb=float(rng.uniform(0.5, 2.0)))
+            flow.add_edge(thinca.name, op.name, data_mb=uniform(rng, 0.5, 2.0))
             trigbanks.append(op)
         inspirals2 = []
         for i in range(_STAGE2_WIDTH):
             op = flow.add_operator(
                 Operator(name=f"Inspiral2_{g}_{i}", runtime=_runtime(rng, "Inspiral2"))
             )
-            flow.add_edge(trigbanks[i].name, op.name, data_mb=float(rng.uniform(1.0, 5.0)))
+            flow.add_edge(trigbanks[i].name, op.name, data_mb=uniform(rng, 1.0, 5.0))
             inspirals2.append(op)
         thinca2 = flow.add_operator(
             Operator(name=f"Thinca2_{g}", runtime=_runtime(rng, "Thinca"))
         )
         for op in inspirals2:
-            flow.add_edge(op.name, thinca2.name, data_mb=float(rng.uniform(0.5, 2.0)))
+            flow.add_edge(op.name, thinca2.name, data_mb=uniform(rng, 0.5, 2.0))
 
     attach_inputs(flow, data_readers, spec, rng)
     return finish(flow, num_ops)

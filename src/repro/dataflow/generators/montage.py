@@ -18,6 +18,7 @@ from repro.dataflow.generators.base import (
     attach_inputs,
     finish,
     truncated_normal,
+    uniform,
 )
 from repro.dataflow.graph import Dataflow
 from repro.dataflow.operator import Operator
@@ -58,6 +59,12 @@ def _runtime(rng: np.random.Generator, task: str) -> float:
     return truncated_normal(rng, mean, std, low, high)
 
 
+def check_num_ops(num_ops: int) -> None:
+    """Reject an operator count the Montage shape cannot fill."""
+    if num_ops < 12:
+        raise ValueError("montage needs at least 12 operators")
+
+
 def build(
     spec: WorkflowSpec,
     rng: np.random.Generator,
@@ -66,8 +73,7 @@ def build(
     issued_at: float = 0.0,
 ) -> Dataflow:
     """Generate one Montage dataflow with ``num_ops`` operators."""
-    if num_ops < 12:
-        raise ValueError("montage needs at least 12 operators")
+    check_num_ops(num_ops)
     tail = 6  # mConcatFit, mBgModel, mImgTbl, mAdd, mShrink, mJPEG
     wide = num_ops - tail
     n_proj = wide * 27 // 94
@@ -90,49 +96,49 @@ def build(
         )
         left = projections[i % n_proj]
         right = projections[(i + 1) % n_proj]
-        flow.add_edge(left.name, op.name, data_mb=float(rng.uniform(1.0, 4.0)))
-        flow.add_edge(right.name, op.name, data_mb=float(rng.uniform(1.0, 4.0)))
+        flow.add_edge(left.name, op.name, data_mb=uniform(rng, 1.0, 4.0))
+        flow.add_edge(right.name, op.name, data_mb=uniform(rng, 1.0, 4.0))
         diffs.append(op)
 
     concat = flow.add_operator(
         Operator(name="mConcatFit", runtime=_runtime(rng, "mConcatFit"))
     )
     for op in diffs:
-        flow.add_edge(op.name, concat.name, data_mb=float(rng.uniform(0.1, 0.5)))
+        flow.add_edge(op.name, concat.name, data_mb=uniform(rng, 0.1, 0.5))
 
     bgmodel = flow.add_operator(
         Operator(name="mBgModel", runtime=_runtime(rng, "mBgModel"))
     )
-    flow.add_edge(concat.name, bgmodel.name, data_mb=float(rng.uniform(0.1, 0.5)))
+    flow.add_edge(concat.name, bgmodel.name, data_mb=uniform(rng, 0.1, 0.5))
 
     backgrounds = []
     for i in range(n_back):
         op = flow.add_operator(
             Operator(name=f"mBackground_{i:03d}", runtime=_runtime(rng, "mBackground"))
         )
-        flow.add_edge(bgmodel.name, op.name, data_mb=float(rng.uniform(0.05, 0.2)))
-        flow.add_edge(projections[i].name, op.name, data_mb=float(rng.uniform(1.0, 4.0)))
+        flow.add_edge(bgmodel.name, op.name, data_mb=uniform(rng, 0.05, 0.2))
+        flow.add_edge(projections[i].name, op.name, data_mb=uniform(rng, 1.0, 4.0))
         backgrounds.append(op)
 
     imgtbl = flow.add_operator(
         Operator(name="mImgTbl", runtime=_runtime(rng, "mImgTbl"))
     )
     for op in backgrounds:
-        flow.add_edge(op.name, imgtbl.name, data_mb=float(rng.uniform(1.0, 4.0)))
+        flow.add_edge(op.name, imgtbl.name, data_mb=uniform(rng, 1.0, 4.0))
 
     madd = flow.add_operator(
         Operator(name="mAdd", runtime=_runtime(rng, "mAdd"))
     )
-    flow.add_edge(imgtbl.name, madd.name, data_mb=float(rng.uniform(20.0, 60.0)))
+    flow.add_edge(imgtbl.name, madd.name, data_mb=uniform(rng, 20.0, 60.0))
 
     shrink = flow.add_operator(
         Operator(name="mShrink", runtime=_runtime(rng, "mShrink"))
     )
-    flow.add_edge(madd.name, shrink.name, data_mb=float(rng.uniform(5.0, 15.0)))
+    flow.add_edge(madd.name, shrink.name, data_mb=uniform(rng, 5.0, 15.0))
 
     jpeg = flow.add_operator(
         Operator(name="mJPEG", runtime=_runtime(rng, "mJPEG"))
     )
-    flow.add_edge(shrink.name, jpeg.name, data_mb=float(rng.uniform(1.0, 3.0)))
+    flow.add_edge(shrink.name, jpeg.name, data_mb=uniform(rng, 1.0, 3.0))
 
     return finish(flow, num_ops)

@@ -37,6 +37,12 @@ Contents:
   pass, with its cost-term memos and their cache counting.
   ``GainModel.evaluate_many`` must return equal records and count
   identical cache hits, misses and invalidations.
+* :func:`oracle_attach_inputs` / :func:`oracle_uniform` — the workflow
+  generators' draws as they were made before batching: one
+  ``rng.choice`` per table, one ``rng.integers`` per speedup and one
+  ``rng.uniform`` per edge size. Patched into the three generator
+  modules, they must produce identical dataflows and leave the RNG in
+  the identical state.
 """
 
 from __future__ import annotations
@@ -50,9 +56,11 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any
 
+import numpy as np
+
 from repro.cloud.container import PAPER_CONTAINER, ContainerSpec
 from repro.cloud.pricing import PricingModel
-from repro.data.catalog import Catalog
+from repro.data.catalog import TABLE6_SPEEDUPS, Catalog
 from repro.data.index_model import (
     Index,
     IndexCostModel,
@@ -65,8 +73,9 @@ from repro.data.index_model import (
     index_record_bytes,
 )
 from repro.data.table import Partition, Table
+from repro.dataflow.generators.base import WorkflowSpec
 from repro.dataflow.graph import Dataflow
-from repro.dataflow.operator import Operator
+from repro.dataflow.operator import DataFile, Operator
 from repro.interleave.knapsack import (
     KnapsackItem,
     KnapsackSolution,
@@ -840,3 +849,43 @@ class OracleGainModel:
             fade_quanta=self.params.fade_quanta,
             samples=samples_in_window,
         )
+
+
+# ----------------------------------------------------------------------
+# Generator oracle: one numpy call per draw, before the batched draws
+# ----------------------------------------------------------------------
+def _oracle_sample_speedup(rng: np.random.Generator) -> float:
+    values = list(TABLE6_SPEEDUPS.values())
+    return float(values[rng.integers(0, len(values))])
+
+
+def oracle_attach_inputs(
+    dataflow: Dataflow,
+    entry_ops: list[Operator],
+    spec: WorkflowSpec,
+    rng: np.random.Generator,
+) -> None:
+    """``attach_inputs`` as it drew before batching: one ``choice`` per
+    table, then one ``integers`` per chosen index's speedup."""
+    if not entry_ops:
+        raise ValueError("a dataflow needs at least one entry operator")
+    for i, (table, size_mb) in enumerate(zip(spec.tables, spec.table_sizes_mb)):
+        op = entry_ops[i % len(entry_ops)]
+        op.inputs = (*op.inputs, DataFile(name=table, size_mb=size_mb))
+        if op.reads_table is None:
+            op.reads_table = table
+        dataflow.input_tables.add(table)
+        index_names = spec.indexes_per_table.get(table, [])
+        if not index_names:
+            continue
+        count = min(spec.indexes_per_dataflow, len(index_names))
+        chosen = rng.choice(len(index_names), size=count, replace=False)
+        for j in chosen:
+            name = index_names[int(j)]
+            op.index_speedup[name] = _oracle_sample_speedup(rng)
+            dataflow.candidate_indexes.add(name)
+
+
+def oracle_uniform(rng: np.random.Generator, low: float, high: float) -> float:
+    """One edge-size draw as the generators made it before batching."""
+    return float(rng.uniform(low, high))

@@ -97,6 +97,52 @@ class TestDataflowShape:
         assert flow.exit_operators()
 
 
+class TestOperatorCount:
+    """Any app may arrive, so a count one generator cannot build is
+    rejected when the workload is built, not at that app's first arrival."""
+
+    @pytest.mark.parametrize("num_ops", [0, 10, 30, 50, 101])
+    def test_workload_rejects_a_count_some_app_cannot_build(self, num_ops):
+        with pytest.raises(ValueError, match="num_ops|operators"):
+            build_workload(PAPER_PRICING, seed=7, num_ops=num_ops)
+
+    @pytest.mark.parametrize("num_ops", [20, 40, 60])
+    def test_multiples_of_20_suit_every_app(self, num_ops):
+        workload = build_workload(PAPER_PRICING, seed=7, num_ops=num_ops)
+        for app in ("montage", "ligo", "cybershake"):
+            assert len(workload.next_dataflow(app, issued_at=0.0)) == num_ops
+
+    def test_prepare_run_rejects_before_the_first_step(self):
+        from dataclasses import replace
+
+        from repro import prepare_run
+        from repro.core.config import default_config
+        from repro.core.service import Strategy
+
+        config = replace(
+            default_config(), operators_per_dataflow=50, poisson_mean_s=300.0
+        )
+        with pytest.raises(ValueError, match="ligo num_ops"):
+            prepare_run(
+                Strategy.GAIN, "phase", config=config, interleaver="online", seed=7
+            )
+
+    def test_spec_rejects_a_negative_index_count(self):
+        from repro.dataflow.generators.base import WorkflowSpec
+
+        with pytest.raises(ValueError, match="indexes_per_dataflow"):
+            WorkflowSpec(app="x", tables=[], table_sizes_mb=[], indexes_per_dataflow=-1)
+
+    @pytest.mark.parametrize(
+        "module, bad, good",
+        [(montage, 11, 12), (ligo, 30, 40), (cybershake, 9, 10)],
+    )
+    def test_each_generator_checks_its_own_shape(self, module, bad, good):
+        with pytest.raises(ValueError):
+            module.check_num_ops(bad)
+        module.check_num_ops(good)
+
+
 class TestGeneratorInputModels:
     @pytest.mark.parametrize(
         "module, key",
