@@ -107,11 +107,6 @@ FORBIDDEN: dict[str, tuple[str, ...]] = {
     # core/recovery/obs, but never the analysis gate or the measurement
     # engine.
     "repro.explore": ("repro.analysis", "repro.engine"),
-    # The multi-tenant front end sits at the top of the DAG next to
-    # repro.recovery/repro.explore: it builds services and guards over
-    # core/faults/obs, but never the analysis gate or the measurement
-    # engine.
-    "repro.tenancy": ("repro.analysis", "repro.engine"),
     # repro.obs is importable from everywhere (ALLOWED_LEAVES), so it
     # must itself import nothing above it — otherwise the carve-out
     # would smuggle a cycle back in.

@@ -30,25 +30,10 @@ _FAULT_OVERRIDES = {
     "retry_max_attempts": "retry_max_attempts",
 }
 
-#: argparse dest -> ExperimentConfig field for the tenancy knobs. Only
-#: applied when the flag was passed, so a run without --tenants keeps
-#: the single-tenant defaults (and the single-tenant code path) exactly.
-_TENANCY_OVERRIDES = {
-    "tenants": "tenants",
-    "tenant_skew": "tenant_skew",
-    "tenant_queue_depth": "tenant_queue_depth",
-    "tenant_rate_quanta": "tenant_rate_quanta",
-    "shed_policy": "shed_policy",
-    "breaker_threshold": "breaker_threshold",
-    "breaker_cooldown_quanta": "breaker_cooldown_quanta",
-    "deadline_quanta": "deadline_quanta",
-}
-
-
 def _config(args) -> "ExperimentConfig":  # noqa: F821
     config = default_config()
     overrides = {}
-    if getattr(args, "horizon_quanta", None):
+    if getattr(args, "horizon_quanta", None) is not None:
         overrides["total_time_s"] = args.horizon_quanta * 60.0
     if getattr(args, "seed", None) is not None:
         overrides["seed"] = args.seed
@@ -69,14 +54,6 @@ def _config(args) -> "ExperimentConfig":  # noqa: F821
         overrides["watchdog_window_quanta"] = args.watchdog_window_quanta
     if getattr(args, "watchdog_hysteresis", None) is not None:
         overrides["watchdog_hysteresis"] = args.watchdog_hysteresis
-    for dest, field in _TENANCY_OVERRIDES.items():
-        value = getattr(args, dest, None)
-        if value is not None:
-            overrides[field] = value
-    if getattr(args, "tenant_weights", None):
-        overrides["tenant_weights"] = tuple(
-            float(w) for w in args.tenant_weights.split(",")
-        )
     return replace(config, **overrides) if overrides else config
 
 
@@ -170,8 +147,6 @@ def cmd_run(args) -> int:
     """
     from repro.experiments import ExperimentTask, derive_seed, run_tasks
 
-    if args.tenants is not None:
-        return _cmd_run_tenants(args)
     repeats = max(1, args.repeats)
     if args.resume:
         if args.recover_dir:
@@ -208,50 +183,6 @@ def cmd_run(args) -> int:
         _write_artifacts(
             args, result.trace_json, result.journal_jsonl, result.metrics_json,
             rep, repeats,
-        )
-    return 0
-
-
-def _cmd_run_tenants(args) -> int:
-    """Run one multi-tenant experiment through the tenancy front end.
-
-    Engaged only by ``--tenants N``: a run without the flag never
-    reaches this path (or the tenancy package), keeping single-tenant
-    output byte-identical to builds without the front end.
-    """
-    from repro.obs import Observation, trace_json
-    from repro.recovery.invariants import InvariantError
-    from repro.report import tenancy_table
-    from repro.tenancy import TenantFrontEnd
-
-    if args.repeats > 1 or args.workers > 1:
-        raise ValueError(
-            "--tenants runs one front-end run; drop --repeats/--workers"
-        )
-    if args.resume or args.recover_dir:
-        raise ValueError(
-            "--tenants cannot be combined with --resume/--recover-dir"
-        )
-    config = _config(args)
-    record_obs = bool(args.trace_out or args.events_out or args.metrics_out)
-    obs = Observation.recording() if record_obs else None
-    front = TenantFrontEnd(
-        config,
-        Strategy(args.strategy),
-        generator=args.generator,
-        interleaver=args.interleaver,
-        obs=obs,
-        check_invariants=args.check_invariants,
-    )
-    try:
-        report = front.run()
-    except InvariantError as exc:
-        _print_invariant_failure(exc)
-        return 1
-    print(tenancy_table(report))
-    if obs is not None:
-        _write_artifacts(
-            args, trace_json(obs.tracer), obs.journal.to_jsonl(), obs.metrics.to_json()
         )
     return 0
 
@@ -679,40 +610,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="regression confirmation-window length in quanta")
     run_p.add_argument("--watchdog-hysteresis", type=int, default=None,
                        help="consecutive breached windows before a flag")
-    run_p.add_argument("--tenants", type=int, default=None,
-                       help="run N tenant bulkheads through the admission "
-                            "front end (omit for the classic single-tenant "
-                            "path)")
-    run_p.add_argument("--tenant-skew", type=float, default=None,
-                       help="arrival-rate multiplier of tenant 0 (the "
-                            "flash-crowd tenant; 1 = uniform)")
-    run_p.add_argument("--tenant-queue-depth", type=int, default=None,
-                       help="per-tenant in-flight dataflow bound "
-                            "(backpressure)")
-    run_p.add_argument("--tenant-rate-quanta", type=float, default=None,
-                       help="per-tenant token-bucket refill rate in "
-                            "submissions per billing quantum (0 = unlimited)")
-    run_p.add_argument("--tenant-weights", default=None, metavar="W0,W1,..",
-                       help="comma-separated fair-share weights, one per "
-                            "tenant (missing tenants default to 1)")
-    run_p.add_argument("--shed-policy", choices=["reject", "defer", "priority"],
-                       default=None,
-                       help="what happens to refused submissions: shed "
-                            "outright, re-queue for later, or defer only "
-                            "above-minimum-weight tenants")
-    run_p.add_argument("--breaker-threshold", type=int, default=None,
-                       help="consecutive failures that open a tenant's "
-                            "build/storage circuit breaker (0 = disabled)")
-    run_p.add_argument("--breaker-cooldown-quanta", type=float, default=None,
-                       help="quanta an open breaker waits before half-open "
-                            "probes")
-    run_p.add_argument("--deadline-quanta", type=float, default=None,
-                       help="per-dataflow queueing-deadline budget in quanta "
-                            "(0 = off): past it decisions degrade to "
-                            "indexed-only, past twice it to unindexed")
-    run_p.add_argument("--check-invariants", action="store_true",
-                       help="run the invariant monitor after every tenant "
-                            "step (--tenants only)")
     add_fault_args(run_p)
     run_p.set_defaults(func=cmd_run)
 

@@ -47,16 +47,10 @@ class CloudStorage:
         self,
         pricing: PricingModel,
         injector: FaultInjector | None = None,
-        owner: str | None = None,
     ) -> None:
         self._pricing = pricing
         # A zero-rate injector never draws: the null object of faults.
         self._injector = injector if injector is not None else FaultInjector()
-        # Tenant attribution: the multi-tenant front end names each
-        # bulkhead's store so transient errors (and the typed
-        # RetriesExhausted built from them) carry their owner. None —
-        # the single-tenant default — keeps error messages unchanged.
-        self.owner = owner
         self._objects: dict[str, StoredObject] = {}
         self._history: list[StoredObject] = []
         self._versions: dict[str, int] = {}
@@ -86,7 +80,7 @@ class CloudStorage:
             raise ValueError("size_mb must be non-negative")
         if self._injector.storage_put_fails():
             logger.debug("storage put lost: %s (%.1f MB)", path, size_mb)
-            raise TransientStorageError("put", path, owner=self.owner)
+            raise TransientStorageError("put", path)
         crash_point("storage.pre_put")
         self._advance(time)
         previous = self._objects.get(path)
@@ -144,7 +138,7 @@ class CloudStorage:
             raise KeyError(f"no live object at {path!r}")
         if self._injector.storage_delete_fails():
             logger.debug("storage delete lost: %s", path)
-            raise TransientStorageError("delete", path, owner=self.owner)
+            raise TransientStorageError("delete", path)
         crash_point("storage.pre_delete")
         self._advance(time)
         obj.deleted_at = time

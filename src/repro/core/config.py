@@ -23,9 +23,6 @@ from repro.cloud.pricing import PricingModel
 from repro.faults.injector import FaultProfile
 from repro.tuning.gain import GainParameters
 
-#: Valid load-shedding policies of the multi-tenant admission controller.
-SHED_POLICIES = ("reject", "defer", "priority")
-
 
 @dataclass(frozen=True)
 class ExperimentConfig:
@@ -100,49 +97,6 @@ class ExperimentConfig:
     # Consecutive breached windows before an index is flagged (hysteresis
     # so one quiet window does not kill a good index).
     watchdog_hysteresis: int = 2
-    # --- Multi-tenant front end (repro.tenancy) ---------------------------
-    # Number of tenant streams. 1 (the default) runs the classic
-    # single-tenant loop untouched; the tenancy layer only engages above
-    # it, so default-config runs stay byte-identical to pre-tenancy builds.
-    tenants: int = 1
-    # Arrival-rate multiplier of tenant 0 (the flash-crowd tenant): its
-    # mean inter-arrival time is divided by this. 1.0 = uniform tenants.
-    tenant_skew: float = 1.0
-    # Bounded per-tenant submission queue: arrivals are shed (or
-    # deferred, per shed_policy) while this many of the tenant's admitted
-    # dataflows are still in flight.
-    tenant_queue_depth: int = 64
-    # Token-bucket rate limit per tenant, in admitted dataflows per
-    # billing quantum. 0 disables rate limiting.
-    tenant_rate_quanta: float = 0.0
-    # Token-bucket capacity (burst allowance), in dataflows.
-    tenant_burst: float = 8.0
-    # Fair-share weights, one per tenant (padded with 1.0); empty means
-    # equal shares. Higher weight = larger guaranteed share and higher
-    # shed priority under the "priority" policy.
-    tenant_weights: tuple[float, ...] = ()
-    # What happens to a submission the admission controller cannot take:
-    # "reject" sheds it, "defer" re-queues it tenant_defer_quanta later
-    # (up to tenant_max_defers times), "priority" defers above-minimum-
-    # weight tenants and sheds the lowest-weight ones outright.
-    shed_policy: str = "reject"
-    tenant_defer_quanta: float = 1.0
-    tenant_max_defers: int = 3
-    # Shared admissions per billing quantum across all tenants (the pool
-    # bulkhead). 0 derives max_containers // scheduler_containers — the
-    # number of dataflows the shared container pool can run concurrently.
-    admission_quantum_slots: int = 0
-    # Per-tenant circuit breakers around index builds and storage
-    # deletes: open after this many consecutive failures, half-open after
-    # breaker_cooldown_quanta, close again after breaker_probes probe
-    # successes. 0 disables the breakers.
-    breaker_threshold: int = 0
-    breaker_cooldown_quanta: float = 5.0
-    breaker_probes: int = 1
-    # Per-dataflow deadline budget, in billing quanta: a dataflow that
-    # waited longer than this for a slot skips tuning ("indexed" mode);
-    # past twice the budget it runs unindexed. 0 disables deadlines.
-    deadline_quanta: float = 0.0
     seed: int = 42
 
     def __post_init__(self) -> None:
@@ -166,9 +120,12 @@ class ExperimentConfig:
             rate = getattr(self, name)
             if not 0.0 <= rate <= 1.0:
                 raise ValueError(f"{name} must be in [0, 1], got {rate}")
+        if self.total_time_s <= 0:
+            raise ValueError(
+                f"total_time_s must be positive, got {self.total_time_s}"
+            )
         interval_fields = (
             "poisson_mean_s",
-            "total_time_s",
             "update_interval_s",
             "respawn_delay_s",
             "checkpoint_interval_s",
@@ -200,78 +157,6 @@ class ExperimentConfig:
             raise ValueError(
                 f"watchdog_hysteresis must be at least 1, "
                 f"got {self.watchdog_hysteresis}"
-            )
-        self._validate_tenancy()
-
-    def _validate_tenancy(self) -> None:
-        """Validate the tenancy/breaker/deadline knobs together.
-
-        Aggregates every bad field into one error (cf. RetryPolicy and
-        FaultProfile) so a misconfigured multi-tenant run reports all its
-        problems at once instead of one per traceback.
-        """
-        problems: list[str] = []
-        if self.tenants < 1:
-            problems.append(f"tenants must be at least 1, got {self.tenants}")
-        if self.tenant_skew < 1.0:
-            problems.append(f"tenant_skew must be >= 1, got {self.tenant_skew}")
-        if self.tenant_queue_depth < 1:
-            problems.append(
-                f"tenant_queue_depth must be at least 1, got {self.tenant_queue_depth}"
-            )
-        if self.tenant_rate_quanta < 0:
-            problems.append(
-                f"tenant_rate_quanta must be non-negative, got {self.tenant_rate_quanta}"
-            )
-        if self.tenant_burst < 1.0:
-            problems.append(f"tenant_burst must be >= 1, got {self.tenant_burst}")
-        if len(self.tenant_weights) > self.tenants:
-            problems.append(
-                f"tenant_weights has {len(self.tenant_weights)} entries "
-                f"for {self.tenants} tenants"
-            )
-        if any(w <= 0 for w in self.tenant_weights):
-            problems.append(
-                f"tenant_weights must all be positive, got {self.tenant_weights}"
-            )
-        if self.shed_policy not in SHED_POLICIES:
-            problems.append(
-                f"shed_policy must be one of {', '.join(SHED_POLICIES)}, "
-                f"got {self.shed_policy!r}"
-            )
-        if self.tenant_defer_quanta <= 0:
-            problems.append(
-                f"tenant_defer_quanta must be positive, got {self.tenant_defer_quanta}"
-            )
-        if self.tenant_max_defers < 0:
-            problems.append(
-                f"tenant_max_defers must be non-negative, got {self.tenant_max_defers}"
-            )
-        if self.admission_quantum_slots < 0:
-            problems.append(
-                f"admission_quantum_slots must be non-negative, "
-                f"got {self.admission_quantum_slots}"
-            )
-        if self.breaker_threshold < 0:
-            problems.append(
-                f"breaker_threshold must be non-negative, got {self.breaker_threshold}"
-            )
-        if self.breaker_cooldown_quanta <= 0:
-            problems.append(
-                f"breaker_cooldown_quanta must be positive, "
-                f"got {self.breaker_cooldown_quanta}"
-            )
-        if self.breaker_probes < 1:
-            problems.append(
-                f"breaker_probes must be at least 1, got {self.breaker_probes}"
-            )
-        if self.deadline_quanta < 0:
-            problems.append(
-                f"deadline_quanta must be non-negative, got {self.deadline_quanta}"
-            )
-        if problems:
-            raise ValueError(
-                "invalid tenancy configuration: " + "; ".join(problems)
             )
 
     def fault_profile(self) -> FaultProfile:

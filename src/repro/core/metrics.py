@@ -128,12 +128,6 @@ class ServiceMetrics:
     storage_put_failures = _FaultCounter()
     storage_delete_failures = _FaultCounter()
     degraded_builds = _FaultCounter()
-    # Dataflows decided in a degraded mode (deadline or breaker): the
-    # tuner was skipped and the dataflow ran indexed/unindexed.
-    degraded_decisions = _FaultCounter()
-    # Completed builds dropped because the tenant's build breaker was
-    # open (the partition stays unbuilt and unbilled).
-    breaker_skipped_builds = _FaultCounter()
 
     # ------------------------------------------------------------------
     # Aggregates (Figure 12 / 14)

@@ -79,7 +79,6 @@ class ContainerPool:
         spec: ContainerSpec = PAPER_CONTAINER,
         max_containers: int = 100,
         obs: Observation | None = None,
-        metrics_prefix: str = "pool",
     ) -> None:
         if max_containers <= 0:
             raise ValueError("max_containers must be positive")
@@ -88,10 +87,6 @@ class ContainerPool:
         self.max_containers = max_containers
         self.stats = PoolStats()
         self.obs = obs if obs is not None else NOOP_OBS
-        # The multi-tenant front end gives each tenant's pool its own
-        # prefix (e.g. "tenancy/t3/pool") so per-tenant counters stay
-        # separable in the shared registry; the default is unchanged.
-        self.metrics_prefix = metrics_prefix
         self._containers: dict[int, PooledContainer] = {}
         self._next_id = 0
 
@@ -117,7 +112,7 @@ class ContainerPool:
             del self._containers[cid]
         self.stats.containers_expired += len(expired)
         if expired and self.obs.enabled:
-            self.obs.metrics.counter(f"{self.metrics_prefix}/containers_expired").inc(len(expired))
+            self.obs.metrics.counter("pool/containers_expired").inc(len(expired))
         return len(expired)
 
     # ------------------------------------------------------------------
@@ -141,9 +136,9 @@ class ContainerPool:
         for c in chosen:
             self.stats.quanta_saved_by_reuse += self.pricing.quanta(c.lease_end - time)
         if self.obs.enabled:
-            self.obs.metrics.counter(f"{self.metrics_prefix}/containers_reused").inc(len(chosen))
-            self.obs.metrics.counter(f"{self.metrics_prefix}/containers_created").inc(count - len(chosen))
-            self.obs.metrics.gauge(f"{self.metrics_prefix}/live_containers").set(
+            self.obs.metrics.counter("pool/containers_reused").inc(len(chosen))
+            self.obs.metrics.counter("pool/containers_created").inc(count - len(chosen))
+            self.obs.metrics.gauge("pool/live_containers").set(
                 float(len(self._containers) + count - len(chosen))
             )
         while len(chosen) < count:
@@ -181,7 +176,7 @@ class ContainerPool:
         container.cache = LRUCache(capacity_mb=self.spec.disk_mb)
         self.stats.containers_crashed += count
         if self.obs.enabled:
-            self.obs.metrics.counter(f"{self.metrics_prefix}/containers_crashed").inc(count)
+            self.obs.metrics.counter("pool/containers_crashed").inc(count)
         logger.debug(
             "container %d crashed x%d; cache dropped", container.container_id, count
         )
@@ -217,5 +212,5 @@ class ContainerPool:
         container.quanta_paid += added
         self.stats.quanta_paid += added
         if added and self.obs.enabled:
-            self.obs.metrics.counter(f"{self.metrics_prefix}/quanta_paid").inc(added)
+            self.obs.metrics.counter("pool/quanta_paid").inc(added)
         return added

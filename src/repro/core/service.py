@@ -136,47 +136,6 @@ class RunState:
     exhausted: bool = False
 
 
-#: Degradation ladder of the guard's decide_mode: full tuning, schedule
-#: with existing indexes but skip the tuner, or run the raw dataflow.
-MODE_FULL = "full"
-MODE_INDEXED = "indexed"
-MODE_UNINDEXED = "unindexed"
-
-
-class ServiceGuard:
-    """Per-service protective hooks; the default allows everything.
-
-    The multi-tenant front end (:mod:`repro.tenancy`) subclasses this to
-    wire circuit breakers and per-dataflow deadline budgets into the
-    service loop without the core importing the tenancy layer. The loop
-    calls every hook unconditionally: this base class is the null
-    object, and its hooks neither draw randomness nor touch state, so a
-    run without a tenant guard is byte-identical to one without hooks.
-    """
-
-    def decide_mode(self, issued_at: float, exec_start: float) -> str:
-        """Pick the decision mode for a dataflow admitted at
-        ``issued_at`` that will start executing at ``exec_start``."""
-        return MODE_FULL
-
-    def allow_build_put(self, index_name: str, now: float) -> bool:
-        """Whether a completed build may be persisted (build breaker)."""
-        return True
-
-    def record_build_put(self, ok: bool, now: float) -> None:
-        """Outcome of a storage put for a completed build."""
-
-    def record_build_failures(self, count: int, now: float) -> None:
-        """``count`` in-simulator build-operator failures at ``now``."""
-
-    def allow_storage_delete(self, path: str, now: float) -> bool:
-        """Whether a storage delete may be attempted (storage breaker)."""
-        return True
-
-    def record_storage_delete(self, ok: bool, now: float) -> None:
-        """Outcome of an attempted storage delete."""
-
-
 class QaaSService:
     """One service instance bound to a workload, config and strategy."""
 
@@ -188,18 +147,16 @@ class QaaSService:
         interleaver: str = "lp",
         obs: Observation | None = None,
         recovery: RecoveryLog | None = None,
-        guard: ServiceGuard | None = None,
     ) -> None:
         self.workload = workload
         self.config = config
         self.strategy = strategy
         # The loop's sinks are null objects when off, and it calls them
         # unconditionally. The no-ops draw no randomness, read no clock
-        # and change no state, so a run with the default guard (allow
-        # everything), NOOP_OBS or NOOP_RECOVERY is byte-identical to
-        # one without the sink wired in at all. Observability and the
-        # recovery log are also write-only: nothing branches on them.
-        self.guard = guard if guard is not None else ServiceGuard()
+        # and change no state, so a run with NOOP_OBS or NOOP_RECOVERY
+        # is byte-identical to one without the sink wired in at all.
+        # Observability and the recovery log are also write-only:
+        # nothing branches on them.
         self.catalog = workload.catalog
         self.pricing = config.pricing
         self.obs = obs if obs is not None else NOOP_OBS
@@ -288,7 +245,7 @@ class QaaSService:
         self, dataflow: Dataflow, now: float, queued: list[Dataflow] | None = None
     ) -> TunerDecision:
         if self.strategy is Strategy.NO_INDEX:
-            return self._decide_degraded(dataflow, MODE_UNINDEXED)
+            return self._decide_unindexed(dataflow)
         if self.strategy is Strategy.RANDOM:
             return self._decide_random(dataflow)
         decision = self.tuner.on_dataflow(dataflow, now, queued=queued)
@@ -296,18 +253,8 @@ class QaaSService:
             return decision
         return replace(decision, to_delete=[])
 
-    def _decide_degraded(self, dataflow: Dataflow, mode: str) -> TunerDecision:
-        """Graceful degradation: schedule without consulting the tuner.
-
-        ``indexed`` still folds already-built indexes into the operator
-        runtimes (the cheap part of a decision) but schedules no builds
-        and no deletes; ``unindexed`` runs the raw dataflow. Both leave
-        the tuner's history/gain state untouched except for the ordinary
-        execution record, so tuning resumes seamlessly once the deadline
-        pressure or breaker trip clears.
-        """
-        if mode == MODE_INDEXED:
-            self._fold_built_indexes(dataflow)
+    def _decide_unindexed(self, dataflow: Dataflow) -> TunerDecision:
+        """The no-index baseline: run the raw dataflow, build nothing."""
         return TunerDecision(
             chosen=InterleavedSchedule(schedule=self._fastest(dataflow))
         )
@@ -420,23 +367,14 @@ class QaaSService:
         """Delete a storage object, absorbing transient failures.
 
         A dropped delete leaves the object live (and billing); the path
-        is queued and retried at later settle points. An open storage
-        breaker (guarded runs only) skips the attempt entirely — the
-        path joins the same orphan queue and is swept once the breaker
-        closes again.
+        is queued and retried at later settle points.
         """
-        if not self.guard.allow_storage_delete(path, time):
-            self._orphan_paths.append(path)
-            logger.info("storage breaker open: delete of %s deferred", path)
-            return False
         try:
             self.storage.delete(path, time)
-            self.guard.record_storage_delete(True, time)
             return True
         except TransientStorageError:
             metrics.storage_delete_failures += 1
             self._orphan_paths.append(path)
-            self.guard.record_storage_delete(False, time)
             logger.info("delete of %s failed transiently; will retry", path)
             return False
 
@@ -528,21 +466,12 @@ class QaaSService:
         # (and occasionally just past) the dataflow; never rewind the
         # storage billing clock.
         at = max(done.finished_at, self.storage.accounted_until)
-        if not self.guard.allow_build_put(done.index_name, at):
-            metrics.degraded_builds += 1
-            metrics.breaker_skipped_builds += 1
-            logger.info(
-                "build breaker open: dropping completed build %s partition %d",
-                done.index_name, done.partition_id,
-            )
-            return
         path = index.spec.path(done.partition_id)
         try:
             self.storage.put(path, size_mb, at)
         except TransientStorageError:
             metrics.storage_put_failures += 1
             metrics.degraded_builds += 1
-            self.guard.record_build_put(False, at)
             logger.info(
                 "put of %s partition %d lost; partition stays unbuilt",
                 done.index_name, done.partition_id,
@@ -553,7 +482,6 @@ class QaaSService:
             # and ended its billing; retrying that delete would now
             # remove the rebuilt partition.
             self._orphan_paths = [p for p in self._orphan_paths if p != path]
-        self.guard.record_build_put(True, at)
         yield "build.catalog_mark"
         resumed = index.partitions[done.partition_id].checkpoint_seconds > 0
         if resumed:
@@ -964,12 +892,7 @@ class QaaSService:
             queued.append(self._dataflow_at(state, j))
         epoch.pause("service.pre_decide")
         crash_point("service.pre_decide")
-        mode = self.guard.decide_mode(event.time, exec_start)
-        if mode == MODE_FULL:
-            decision = self._decide(dataflow, now=exec_start, queued=queued)
-        else:
-            decision = self._decide_degraded(dataflow, mode)
-            metrics.degraded_decisions += 1
+        decision = self._decide(dataflow, now=exec_start, queued=queued)
         crash_point("service.post_decide")
         if self._watchdog is not None:
             # The ledger reconciles the tuner's decision-time prediction
@@ -1012,7 +935,6 @@ class QaaSService:
         metrics.stragglers += result.stragglers
         metrics.builds_failed += result.builds_failed
         metrics.degraded_builds += result.builds_failed
-        self.guard.record_build_failures(result.builds_failed, result.finish_time)
         metrics.outcomes.append(
             DataflowOutcome(
                 name=dataflow.name,

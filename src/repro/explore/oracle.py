@@ -22,14 +22,13 @@ from repro.recovery.invariants import InvariantViolation
 class CrossTenantOracle:
     """Bulkhead isolation as an ordering invariant.
 
-    The multi-tenant front end promises that tenants share nothing but
-    the admission budget: every catalog/storage mutation stays inside
-    the service that issued the action. This oracle watches an integer
-    digest of each tenant's state — built partition count plus live
-    storage objects, both ints so no float comparison is involved — and
-    flags any micro-step after which *more than one* tenant's digest
-    changed: that can only happen if an action reached across a
-    bulkhead (e.g. a shared storage account or catalog object).
+    Two service instances share nothing: every catalog/storage mutation
+    stays inside the service that issued the action. This oracle
+    watches an integer digest of each tenant's state — built partition
+    count plus live storage objects, both ints so no float comparison
+    is involved — and flags any micro-step after which *more than one*
+    tenant's digest changed: that can only happen if an action reached
+    across a bulkhead (e.g. a shared storage account or catalog object).
     """
 
     def __init__(self, services: list[Any]) -> None:

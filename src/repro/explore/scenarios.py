@@ -24,12 +24,12 @@ Three scenarios ship:
   pipeline's action stream, suited to seeded random walks and bounded
   DFS rather than full enumeration.
 * ``tenants`` — two tenant bulkheads (independent services with derived
-  seeds, as the multi-tenant front end builds them) whose build/delete
-  actions interleave in shared epochs. Every schedule must keep each
-  mutation inside its own bulkhead — checked per micro-step by the
-  :class:`~repro.explore.oracle.CrossTenantOracle` over integer state
-  digests — so the scenario is violation-free by construction and
-  guards the tenancy layer's isolation claim against regressions.
+  seeds) whose build/delete actions interleave in shared epochs. Every
+  schedule must keep each mutation inside its own bulkhead — checked
+  per micro-step by the :class:`~repro.explore.oracle.CrossTenantOracle`
+  over integer state digests — so the scenario is violation-free by
+  construction and guards service isolation against regressions (a
+  module-level cache or shared store that leaks between instances).
 """
 
 from __future__ import annotations
@@ -203,10 +203,10 @@ def _build_planted(seed: int) -> ScenarioRun:
 def _build_tenants(seed: int) -> ScenarioRun:
     """Two tenant bulkheads whose actions share the explored epochs.
 
-    The services are built exactly as the front end builds them
-    (derived seeds, owner-tagged storage); their action streams are
-    intra-tenant independent, so any cross-tenant violation the oracle
-    reports is a real bulkhead leak, not a planted race.
+    Each tenant is a plain service with its own derived seed, catalog
+    and storage; their action streams are intra-tenant independent, so
+    any cross-tenant violation the oracle reports is a real bulkhead
+    leak, not a planted race.
     """
     from repro.experiments import derive_seed
 
@@ -215,7 +215,6 @@ def _build_tenants(seed: int) -> ScenarioRun:
         service, _events = _fresh_service(
             derive_seed(seed, tenant), horizon_quanta=3
         )
-        service.storage.owner = f"t{tenant}"
         runs.append((service, service.begin_run([])))
     (s0, st0), (s1, st1) = runs
     a0, b0 = _pick_indexes(s0, want=2)

@@ -28,14 +28,13 @@ from repro.faults.injector import (
     FaultStats,
     TransientStorageError,
 )
-from repro.faults.retry import RetriesExhausted, RetryPolicy
+from repro.faults.retry import RetryPolicy
 
 __all__ = [
     "FaultInjector",
     "FaultKind",
     "FaultProfile",
     "FaultStats",
-    "RetriesExhausted",
     "RetryPolicy",
     "TransientStorageError",
 ]

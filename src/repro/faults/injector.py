@@ -21,21 +21,12 @@ logger = logging.getLogger(__name__)
 
 
 class TransientStorageError(RuntimeError):
-    """A storage put/delete failed transiently; the caller may retry.
+    """A storage put/delete failed transiently; the caller may retry."""
 
-    ``owner`` attributes the failure to a tenant (set by the storage
-    layer when the multi-tenant front end names the store); ``None``
-    keeps the historical single-tenant message byte-identical.
-    """
-
-    def __init__(self, operation: str, path: str, owner: str | None = None) -> None:
-        suffix = f" (owner={owner})" if owner is not None else ""
-        super().__init__(
-            f"transient storage {operation} failure at {path!r}{suffix}"
-        )
+    def __init__(self, operation: str, path: str) -> None:
+        super().__init__(f"transient storage {operation} failure at {path!r}")
         self.operation = operation
         self.path = path
-        self.owner = owner
 
 
 class FaultKind(Enum):

@@ -11,50 +11,12 @@ from __future__ import annotations
 
 import logging
 from dataclasses import dataclass
-from typing import Callable, TypeVar
 
 import numpy as np
 
-from repro.faults.injector import FaultKind, TransientStorageError
+from repro.faults.injector import FaultKind
 
 logger = logging.getLogger(__name__)
-
-T = TypeVar("T")
-
-
-class RetriesExhausted(RuntimeError):
-    """A retry budget was spent without the operation succeeding.
-
-    Unlike the bare transient-class exceptions the individual attempts
-    raise, this carries the owning tenant and dataflow, so shed/degrade
-    decisions downstream can be attributed in the decision journal
-    (``retries_exhausted`` events) instead of surfacing as an anonymous
-    storage error.
-    """
-
-    def __init__(
-        self,
-        operation: str,
-        attempts: int,
-        *,
-        tenant: str | None = None,
-        dataflow: str | None = None,
-        last_error: Exception | None = None,
-    ) -> None:
-        self.operation = operation
-        self.attempts = attempts
-        self.tenant = tenant
-        self.dataflow = dataflow
-        self.last_error = last_error
-        owner = []
-        if tenant is not None:
-            owner.append(f"tenant={tenant}")
-        if dataflow is not None:
-            owner.append(f"dataflow={dataflow}")
-        suffix = f" ({', '.join(owner)})" if owner else ""
-        super().__init__(
-            f"{operation}: retry budget exhausted after {attempts} attempt(s){suffix}"
-        )
 
 
 @dataclass(frozen=True)
@@ -126,51 +88,3 @@ class RetryPolicy:
         logger.debug("backoff %.3fs before retry %d (%s)", delay, attempt,
                      kind.value if kind is not None else "default")
         return delay
-
-    def execute(
-        self,
-        op: Callable[[], T],
-        *,
-        kind: FaultKind | None = None,
-        operation: str = "storage_op",
-        tenant: str | None = None,
-        dataflow: str | None = None,
-        retryable: tuple[type[Exception], ...] = (TransientStorageError,),
-    ) -> T:
-        """Call ``op`` under this policy's attempt budget.
-
-        Retries immediately on ``retryable`` exceptions (backoff is
-        simulated time and is the caller's billing concern — account it
-        via :meth:`worst_case_delay_s` if needed) and raises a typed
-        :class:`RetriesExhausted` carrying the owning tenant/dataflow
-        once the budget is spent.
-        """
-        attempts = self.attempts_for(kind)
-        last: Exception | None = None
-        for attempt in range(attempts):
-            try:
-                return op()
-            except retryable as exc:
-                last = exc
-                logger.debug(
-                    "%s attempt %d/%d failed transiently: %s",
-                    operation, attempt + 1, attempts, exc,
-                )
-        raise RetriesExhausted(
-            operation, attempts, tenant=tenant, dataflow=dataflow, last_error=last
-        )
-
-    def worst_case_delay_s(self, kind: FaultKind | None = None) -> float:
-        """Upper bound on the total backoff across all retries of one op."""
-        total = 0.0
-        for attempt in range(self.attempts_for(kind) - 1):
-            base = self.base_delay_s
-            multiplier = self.multiplier
-            override = self.overrides.get(kind) if kind is not None else None
-            if override is not None:
-                if override.base_delay_s is not None:
-                    base = override.base_delay_s
-                if override.multiplier is not None:
-                    multiplier = override.multiplier
-            total += min(self.max_delay_s, base * multiplier**attempt) * (1.0 + self.jitter)
-        return total

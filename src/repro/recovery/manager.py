@@ -58,7 +58,7 @@ from repro.recovery.wal import WalRecord, WriteAheadLog, encode_body
 #: Version of the manifest and snapshot layout. Bump it whenever a pickled
 #: class changes shape, so resume refuses an old run directory at its
 #: manifest instead of failing part-way through unpickling a snapshot.
-FORMAT_VERSION = 8
+FORMAT_VERSION = 9
 
 #: Snapshots retained per run directory (older ones are pruned).
 SNAPSHOT_KEEP = 3

@@ -158,32 +158,6 @@ def roi_table(rows: Sequence[dict]) -> str:
     return "\n".join(out)
 
 
-def tenancy_table(report) -> str:
-    """Per-tenant admission/degradation tallies as an aligned table.
-
-    ``report`` is a :class:`repro.tenancy.FrontEndReport`; counts are
-    all integers, so the table is byte-stable across same-seed runs.
-    """
-    headers = ["tenant", "weight", "submitted", "admitted", "deferred",
-               "shed", "expired", "executed", "degraded", "trips"]
-    widths = [8, 8, 11, 10, 10, 7, 9, 10, 10, 7]
-    out = ["".join(f"{h:<{w}}" for h, w in zip(headers, widths))]
-    out.append("-" * sum(widths))
-    for t in report.tenants:
-        cells = [
-            f"t{t.tenant_id}", f"{t.weight:.2f}", str(t.submitted),
-            str(t.admitted), str(t.deferred), str(t.shed), str(t.expired),
-            str(t.executed), str(t.degraded), str(t.breaker_trips),
-        ]
-        out.append("".join(f"{c:<{w}}" for c, w in zip(cells, widths)))
-    out.append(
-        f"shed rate {100 * report.shed_rate:.1f}% "
-        f"({report.total('shed') + report.total('expired')} of "
-        f"{report.total('submitted')} submissions)"
-    )
-    return "\n".join(out)
-
-
 def metrics_row(label: str, metrics) -> MetricsRow:
     """Build a comparison row from a ServiceMetrics object."""
     return MetricsRow(

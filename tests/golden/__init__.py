@@ -101,7 +101,7 @@ def _regen_default_runs() -> str:
 
 
 # Hooked runs: every optional sink of the service loop switched on
-# (WAL, ledger, watchdog, guard) so a refactor of the loop's sink calls
+# (WAL, ledger, watchdog) so a refactor of the loop's sink calls
 # cannot reorder or drop a record unnoticed. The fully hooked config
 # writes every WAL record kind in a few seconds.
 HOOKED_WAL_KINDS = frozenset({
@@ -112,8 +112,7 @@ HOOKED_WAL_KINDS = frozenset({
 })
 HOOKED_JOURNAL_KINDS = frozenset({
     "index_build", "index_delete", "index_probe", "index_roi",
-    "index_regression", "recovery_snapshot", "breaker_transition",
-    "tenant_degraded",
+    "index_regression", "recovery_snapshot",
 })
 
 
@@ -140,7 +139,6 @@ def _regen_hooked_runs() -> str:
     from repro.core.service import Strategy
     from repro.obs import Observation, trace_json
     from repro.recovery.manager import WAL_NAME, RecoveryManager
-    from tests.test_tenancy_frontend import FAULT_STORM, config, run_tenants
 
     cfg = hooked_config()
     digests: dict[str, dict[str, str]] = {}
@@ -196,8 +194,6 @@ def _regen_hooked_runs() -> str:
         )
         pin(name, obs, trace=trace_json(obs.tracer), outcomes=_outcomes(metrics))
 
-    _report, obs = run_tenants(config(**FAULT_STORM))
-    pin("tenancy_fault_storm", obs)
     missing = HOOKED_JOURNAL_KINDS - journal_kinds
     assert not missing, f"hooked runs never journal {sorted(missing)}"
     return json.dumps(digests, indent=2, sort_keys=True) + "\n"

@@ -50,6 +50,13 @@ class TestCommands:
         out = capsys.readouterr().out
         assert "finished=" in out
 
+    @pytest.mark.parametrize("command", ["run", "compare"])
+    def test_zero_horizon_is_rejected(self, capsys, command):
+        # 0 is a value, not "unset": it must not fall back to the
+        # default horizon.
+        assert main([command, "--horizon-quanta", "0"]) == 2
+        assert "total_time_s must be positive" in capsys.readouterr().err
+
 
 class TestChaosExplore:
     def test_expect_violation_succeeds_on_planted_bug(self, capsys, tmp_path):

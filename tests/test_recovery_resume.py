@@ -35,6 +35,7 @@ from repro.recovery import (
 from repro.recovery import manager as recovery_manager
 from repro.recovery.chaos import _metrics_fingerprint
 from repro.recovery.manager import (
+    FORMAT_VERSION,
     SEGMENT_NAME,
     SIDECAR_NAME,
     obs_lists,
@@ -192,18 +193,23 @@ def test_resume_refuses_finished_run(tmp_path):
         resume_run(str(tmp_path))
 
 
-def test_resume_refuses_a_format_7_directory(tmp_path):
+@pytest.mark.parametrize("old_format", [7, 8])
+def test_resume_refuses_an_old_format_directory(tmp_path, old_format):
     """A format-7 segment holds per-index gain dicts where format 8
-    journals one table per decision, so resuming would mix the two."""
+    journals one table per decision; a format-8 snapshot pickles the
+    service's guard and its config the tenancy fields that format 9
+    dropped. Resuming either would fail part-way through unpickling."""
     install_crash_plan(CrashPlan(point="service.step", hit=3, hard=False))
     with pytest.raises(SimulatedCrash):
         run_with_recovery(tmp_path, small_config())
     install_crash_plan(None)
     manifest_path = tmp_path / "manifest.json"
     manifest = json.loads(manifest_path.read_text())
-    assert manifest["format"] == 8
-    manifest_path.write_text(json.dumps(dict(manifest, format=7)))
-    with pytest.raises(RecoveryError, match="unsupported recovery format 7"):
+    assert manifest["format"] == FORMAT_VERSION
+    manifest_path.write_text(json.dumps(dict(manifest, format=old_format)))
+    with pytest.raises(
+        RecoveryError, match=f"unsupported recovery format {old_format}"
+    ):
         resume_run(str(tmp_path))
 
 
